@@ -16,8 +16,10 @@
 //  2. Even associative caches cannot be filled to the brim: individual
 //     sets overflow first. core::plan_groups leaves a 25% margin.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
+#include "core/blocking.hpp"
 #include "core/grouping.hpp"
 #include "synth/sweep.hpp"
 
@@ -33,14 +35,23 @@ int main(int argc, char** argv) {
   report.config_u64("seed", opt.seed);
   report.config("rate", std::to_string(rate));
 
-  auto config_for = [&](std::uint32_t kb, std::uint32_t group) {
-    synth::SynthConfig cfg;
-    cfg.mode = synth::SynthMode::kLdlp;
-    cfg.cpu.memory.icache.size_bytes = kb * 1024;
-    cfg.cpu.memory.icache.ways = 4;
-    cfg.cpu.memory.dcache.ways = 4;
-    cfg.layers_per_group = group;
+  // `groups` partitions the five layers (section 6).
+  auto config_for = [&](std::uint32_t kb, std::vector<std::uint32_t> groups) {
+    sim::MemoryConfig mem;
+    mem.icache.size_bytes = kb * 1024;
+    mem.icache.ways = 4;
+    mem.dcache.ways = 4;
+    synth::EngineConfig cfg = synth::ldlp(
+        core::estimate_blocking({}, mem.icache, mem.dcache).batch_limit);
+    cfg.cpu.memory = mem;
+    cfg.groups = std::move(groups);
     return cfg;
+  };
+  auto fixed_groups = [](std::uint32_t group) {
+    std::vector<std::uint32_t> groups(synth::kPaperLayers / group, group);
+    if (synth::kPaperLayers % group != 0)
+      groups.push_back(synth::kPaperLayers % group);
+    return groups;
   };
 
   benchutil::heading(
@@ -55,8 +66,8 @@ int main(int argc, char** argv) {
   for (const std::uint32_t kb : {8u, 16u, 32u, 64u}) {
     std::printf("%8uK |", kb);
     for (std::uint32_t group = 1; group <= 5; ++group) {
-      const auto points =
-          synth::sweep_poisson_rates(config_for(kb, group), {rate}, opt);
+      const auto points = synth::sweep_poisson_rates(
+          config_for(kb, fixed_groups(group)), {rate}, opt);
       std::printf(" %10s",
                   benchutil::fmt_latency(points.front().mean.mean_latency_sec)
                       .c_str());
@@ -65,16 +76,17 @@ int main(int argc, char** argv) {
                     points.front().mean.mean_latency_sec);
     }
     // The automatic §6 plan for this cache size.
-    const auto cfg = config_for(kb, 0);
-    synth::SynthStack probe(cfg);
-    const auto points = synth::sweep_poisson_rates(cfg, {rate}, opt);
+    const std::vector<std::uint32_t> plan = core::plan_groups(
+        std::vector<std::uint32_t>(synth::kPaperLayers, 6 * 1024), kb * 1024);
+    const auto points =
+        synth::sweep_poisson_rates(config_for(kb, plan), {rate}, opt);
     report.metric("mean_latency_sec@" + std::to_string(kb) + "kb.auto",
                   points.front().mean.mean_latency_sec);
     std::printf(" | %9s (",
                 benchutil::fmt_latency(points.front().mean.mean_latency_sec)
                     .c_str());
-    for (std::size_t i = 0; i < probe.groups().size(); ++i)
-      std::printf("%s%u", i != 0 ? "+" : "", probe.groups()[i]);
+    for (std::size_t i = 0; i < plan.size(); ++i)
+      std::printf("%s%u", i != 0 ? "+" : "", plan[i]);
     std::printf(")\n");
   }
   std::printf(

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "core/blocking.hpp"
 #include "synth/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -22,9 +23,11 @@ int main(int argc, char** argv) {
   benchutil::heading("Ablation: LDLP queue hand-off cost (cycles/msg/layer)");
   std::printf("%6s | %16s | %16s\n", "cost", "lat @1000 msg/s",
               "lat @8000 msg/s");
+  const sim::MemoryConfig mem;
+  const std::uint32_t batch_limit =
+      core::estimate_blocking({}, mem.icache, mem.dcache).batch_limit;
   for (const std::uint32_t cost : {0u, 20u, 40u, 80u, 160u}) {
-    synth::SynthConfig cfg;
-    cfg.mode = synth::SynthMode::kLdlp;
+    synth::EngineConfig cfg = synth::ldlp(batch_limit);
     cfg.queue_cost_cycles = cost;
     const auto points = synth::sweep_poisson_rates(cfg, {1000, 8000}, opt);
     std::printf("%6u | %16s | %16s\n", cost,
@@ -38,9 +41,8 @@ int main(int argc, char** argv) {
   }
 
   // Reference: conventional at the same loads.
-  synth::SynthConfig conv;
-  conv.mode = synth::SynthMode::kConventional;
-  const auto pc = synth::sweep_poisson_rates(conv, {1000, 8000}, opt);
+  const auto pc =
+      synth::sweep_poisson_rates(synth::conventional(), {1000, 8000}, opt);
   std::printf("%6s | %16s | %16s  (conventional reference)\n", "-",
               benchutil::fmt_latency(pc[0].mean.mean_latency_sec).c_str(),
               benchutil::fmt_latency(pc[1].mean.mean_latency_sec).c_str());

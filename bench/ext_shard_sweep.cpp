@@ -21,12 +21,14 @@
 // --jobs=N runs the sweep's shard-count points on a par::WorkerPool.
 // Results land in point-indexed slots, so the output is bit-identical
 // for every N.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "par/shard_engine.hpp"
+#include "core/blocking.hpp"
 #include "par/worker_pool.hpp"
+#include "synth/engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace ldlp;
@@ -48,25 +50,28 @@ int main(int argc, char** argv) {
   const std::vector<std::uint32_t> shard_counts = {1, 2, 4, 8};
   const double coalesce[2] = {0.0, rx_usecs * 1e-6};
   // 2 modes x 4 shard counts, point-indexed so output is --jobs-invariant.
-  std::vector<par::ShardEngineResult> results(2 * shard_counts.size());
+  std::vector<synth::EngineResult> results(2 * shard_counts.size());
+  std::vector<std::uint32_t> batch_limits(results.size());
 
   par::WorkerPool pool(static_cast<std::size_t>(jobs));
   pool.run(results.size(), [&](std::size_t point, par::WorkerContext&) {
-    par::ShardEngineConfig cfg;
-    cfg.shards = shard_counts[point % shard_counts.size()];
-    cfg.flows = static_cast<std::uint32_t>(flows);
-    cfg.messages = messages;
-    cfg.arrival_rate_hz = rate;
-    cfg.seed = seed;
-    cfg.coalesce_sec = coalesce[point / shard_counts.size()];
-    results[point] = par::ShardEngine(cfg).run();
+    const std::uint32_t shards = shard_counts[point % shard_counts.size()];
+    const sim::MemoryConfig mem;
+    batch_limits[point] =
+        core::plan_shards({}, mem.icache, mem.dcache, shards).batch_limit;
+    const synth::EngineConfig cfg = synth::sharded(
+        shards, batch_limits[point], coalesce[point / shard_counts.size()]);
+    const synth::LaneTrace trace = synth::shard_trace(
+        shards, static_cast<std::uint32_t>(flows), messages, rate, seed);
+    results[point] = synth::Engine(cfg).run(synth::sharded_layout(cfg),
+                                            trace.arrivals, trace.lanes);
   });
 
   for (int mode = 0; mode < 2; ++mode) {
     // Each mode's own single-queue run is its LDLP baseline.
     const double single_queue_i = static_cast<double>(
         results[static_cast<std::size_t>(mode) * shard_counts.size()]
-            .shards[0]
+            .cores[0]
             .i_misses);
     benchutil::heading(
         mode == 0
@@ -76,17 +81,19 @@ int main(int argc, char** argv) {
                 "i/msg", "d/msg", "batch", "limit", "mean lat", "p99 lat",
                 "sh.imiss", "skew");
     for (std::size_t i = 0; i < shard_counts.size(); ++i) {
-      const par::ShardEngineResult& r =
-          results[static_cast<std::size_t>(mode) * shard_counts.size() + i];
+      const std::size_t point =
+          static_cast<std::size_t>(mode) * shard_counts.size() + i;
+      const synth::EngineResult& r = results[point];
       std::uint64_t max_i = 0;
-      for (const par::ShardStats& s : r.shards)
+      for (const synth::CoreStats& s : r.cores)
         max_i = std::max(max_i, s.i_misses);
+      const double share = synth::max_lane_share(r);
       std::printf("%6u | %6.1f %6.2f | %6.2f %5u | %11s %11s | %9llu %5.2fx\n",
                   shard_counts[i], r.i_miss_per_msg, r.d_miss_per_msg,
-                  r.mean_batch, r.batch_limit,
+                  r.mean_batch, batch_limits[point],
                   benchutil::fmt_latency(r.mean_latency_sec).c_str(),
                   benchutil::fmt_latency(r.p99_latency_sec).c_str(),
-                  static_cast<unsigned long long>(max_i), r.max_shard_share);
+                  static_cast<unsigned long long>(max_i), share);
       const std::string key = std::string(mode == 0 ? "poll" : "coal") + "@" +
                               std::to_string(shard_counts[i]);
       report.metric("i_miss_per_msg." + key, r.i_miss_per_msg);
@@ -94,7 +101,7 @@ int main(int argc, char** argv) {
       report.metric("mean_latency_sec." + key, r.mean_latency_sec);
       report.metric("p99_latency_sec." + key, r.p99_latency_sec);
       report.metric("mean_batch." + key, r.mean_batch);
-      report.metric("max_shard_share." + key, r.max_shard_share);
+      report.metric("max_shard_share." + key, share);
       // The acceptance line: the busiest shard's i-cache miss count vs the
       // single-queue LDLP baseline at the same total load (<= 1 passes).
       report.metric("max_shard_i_miss_ratio." + key,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/blocking.hpp"
 #include "synth/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -26,16 +27,13 @@ int main(int argc, char** argv) {
   std::vector<double> rates;
   for (double r = 1000; r <= 10000; r += 1000) rates.push_back(r);
 
-  synth::SynthConfig conv;
-  conv.mode = synth::SynthMode::kConventional;
-  synth::SynthConfig ilp = conv;
-  ilp.mode = synth::SynthMode::kIlp;
-  synth::SynthConfig ldlp = conv;
-  ldlp.mode = synth::SynthMode::kLdlp;
-
-  const auto pc = synth::sweep_poisson_rates(conv, rates, opt);
-  const auto pi = synth::sweep_poisson_rates(ilp, rates, opt);
-  const auto pl = synth::sweep_poisson_rates(ldlp, rates, opt);
+  const sim::MemoryConfig mem;
+  const std::uint32_t batch_limit =
+      core::estimate_blocking({}, mem.icache, mem.dcache).batch_limit;
+  const auto pc = synth::sweep_poisson_rates(synth::conventional(), rates, opt);
+  const auto pi = synth::sweep_poisson_rates(synth::ilp(), rates, opt);
+  const auto pl =
+      synth::sweep_poisson_rates(synth::ldlp(batch_limit), rates, opt);
 
   benchutil::heading(
       "Figure 5: cache misses per message vs arrival rate (Poisson, 552 B)");
@@ -43,27 +41,26 @@ int main(int argc, char** argv) {
               "LDLP batch limit = %u messages;\n ILP added beyond the "
               "paper's two curves — it fuses data loops but cannot touch "
               "code locality)\n\n",
-              opt.runs, opt.run_seconds, pl.front().mean.batch_limit);
+              opt.runs, opt.run_seconds, batch_limit);
   std::printf("%9s | %9s %9s | %9s %9s | %9s %9s | %6s\n", "rate",
               "conv I", "conv D", "ILP I", "ILP D", "LDLP I", "LDLP D",
               "batch");
   for (std::size_t i = 0; i < rates.size(); ++i) {
     std::printf("%9.0f | %9.1f %9.1f | %9.1f %9.1f | %9.1f %9.1f | %6.2f\n",
-                rates[i], pc[i].mean.i_misses_per_msg,
-                pc[i].mean.d_misses_per_msg, pi[i].mean.i_misses_per_msg,
-                pi[i].mean.d_misses_per_msg, pl[i].mean.i_misses_per_msg,
-                pl[i].mean.d_misses_per_msg, pl[i].mean.mean_batch);
+                rates[i], pc[i].mean.i_miss_per_msg,
+                pc[i].mean.d_miss_per_msg, pi[i].mean.i_miss_per_msg,
+                pi[i].mean.d_miss_per_msg, pl[i].mean.i_miss_per_msg,
+                pl[i].mean.d_miss_per_msg, pl[i].mean.mean_batch);
     const std::string rate = std::to_string(static_cast<int>(rates[i]));
-    report.metric("conv.i_miss@" + rate, pc[i].mean.i_misses_per_msg);
-    report.metric("conv.d_miss@" + rate, pc[i].mean.d_misses_per_msg);
-    report.metric("ilp.i_miss@" + rate, pi[i].mean.i_misses_per_msg);
-    report.metric("ilp.d_miss@" + rate, pi[i].mean.d_misses_per_msg);
-    report.metric("ldlp.i_miss@" + rate, pl[i].mean.i_misses_per_msg);
-    report.metric("ldlp.d_miss@" + rate, pl[i].mean.d_misses_per_msg);
+    report.metric("conv.i_miss@" + rate, pc[i].mean.i_miss_per_msg);
+    report.metric("conv.d_miss@" + rate, pc[i].mean.d_miss_per_msg);
+    report.metric("ilp.i_miss@" + rate, pi[i].mean.i_miss_per_msg);
+    report.metric("ilp.d_miss@" + rate, pi[i].mean.d_miss_per_msg);
+    report.metric("ldlp.i_miss@" + rate, pl[i].mean.i_miss_per_msg);
+    report.metric("ldlp.d_miss@" + rate, pl[i].mean.d_miss_per_msg);
     report.metric("ldlp.mean_batch@" + rate, pl[i].mean.mean_batch);
   }
-  report.metric("ldlp.batch_limit",
-                static_cast<double>(pl.front().mean.batch_limit));
+  report.metric("ldlp.batch_limit", static_cast<double>(batch_limit));
 
   std::printf(
       "\nShape checks vs the paper:\n"

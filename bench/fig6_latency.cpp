@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/blocking.hpp"
 #include "synth/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -22,13 +23,12 @@ int main(int argc, char** argv) {
   std::vector<double> rates;
   for (double r = 500; r <= 10000; r += 500) rates.push_back(r);
 
-  synth::SynthConfig conv;
-  conv.mode = synth::SynthMode::kConventional;
-  synth::SynthConfig ldlp = conv;
-  ldlp.mode = synth::SynthMode::kLdlp;
-
-  const auto pc = synth::sweep_poisson_rates(conv, rates, opt);
-  const auto pl = synth::sweep_poisson_rates(ldlp, rates, opt);
+  const sim::MemoryConfig mem;
+  const auto pc = synth::sweep_poisson_rates(synth::conventional(), rates, opt);
+  const auto pl = synth::sweep_poisson_rates(
+      synth::ldlp(
+          core::estimate_blocking({}, mem.icache, mem.dcache).batch_limit),
+      rates, opt);
 
   benchutil::heading(
       "Figure 6: latency vs arrival rate (Poisson, 552 B messages)");

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/blocking.hpp"
 #include "synth/sweep.hpp"
 #include "traffic/hurst.hpp"
 #include "traffic/self_similar.hpp"
@@ -62,13 +63,13 @@ int main(int argc, char** argv) {
   std::vector<double> clocks;
   for (double mhz = 10; mhz <= 80; mhz += 10) clocks.push_back(mhz * 1e6);
 
-  synth::SynthConfig conv;
-  conv.mode = synth::SynthMode::kConventional;
-  synth::SynthConfig ldlp = conv;
-  ldlp.mode = synth::SynthMode::kLdlp;
-
-  const auto pc = synth::sweep_cpu_clock(conv, trace, clocks, opt);
-  const auto pl = synth::sweep_cpu_clock(ldlp, trace, clocks, opt);
+  const sim::MemoryConfig mem;
+  const auto pc =
+      synth::sweep_cpu_clock(synth::conventional(), trace, clocks, opt);
+  const auto pl = synth::sweep_cpu_clock(
+      synth::ldlp(
+          core::estimate_blocking({}, mem.icache, mem.dcache).batch_limit),
+      trace, clocks, opt);
 
   benchutil::heading("Figure 7: latency vs CPU clock (Ethernet-like trace)");
   std::printf(

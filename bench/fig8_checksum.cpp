@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "sim/cpu_model.hpp"
+#include "sim/memory_system.hpp"
 
 namespace {
 
@@ -28,19 +28,18 @@ constexpr Routine kSimple{"Simple", 30.0, 1.5, 288, 288};
 
 /// Simulated cycles for one checksum call at the given message size.
 double run_once(const Routine& r, std::uint32_t size, bool warm) {
-  ldlp::sim::CpuConfig cfg;  // paper machine defaults
-  ldlp::sim::CpuModel cpu(cfg);
+  using ldlp::sim::Access;
+  ldlp::sim::MemorySystem mem(ldlp::sim::MemoryConfig{});  // paper machine
   const std::uint64_t code_base = 0x10000;
   const std::uint32_t active = size < 32 ? r.small_code_bytes
                                          : r.full_code_bytes;
-  // A fresh CpuModel starts cold; warming is a pre-touch of the active
-  // code (the measurement below only counts cycles after this point).
-  if (warm) cpu.ifetch(code_base, active);
-  const std::uint64_t before = cpu.busy_cycles();
-  cpu.ifetch(code_base, active);
-  cpu.execute(static_cast<std::uint64_t>(r.fixed_cycles +
-                                         r.cycles_per_byte * size));
-  return static_cast<double>(cpu.busy_cycles() - before);
+  // A fresh memory system starts cold; warming is a pre-touch of the
+  // active code (the measurement below only counts cycles after it).
+  if (warm) (void)mem.access(Access::kIFetch, code_base, active);
+  const std::uint64_t stall = mem.access(Access::kIFetch, code_base, active);
+  return static_cast<double>(
+      stall +
+      static_cast<std::uint64_t>(r.fixed_cycles + r.cycles_per_byte * size));
 }
 
 }  // namespace

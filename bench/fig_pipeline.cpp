@@ -26,12 +26,14 @@
 // --jobs=N fans the mode x load grid over a par::WorkerPool into
 // cell-indexed slots; output is bit-identical for every N.
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "par/worker_pool.hpp"
-#include "pipe/stage_engine.hpp"
+#include "pipe/pipeline.hpp"
+#include "synth/engine.hpp"
 #include "traffic/self_similar.hpp"
 #include "traffic/size_models.hpp"
 
@@ -65,15 +67,20 @@ int main(int argc, char** argv) {
     traces[li] = traffic::generate_self_similar_trace(tc, *sizes, seed + li);
   }
 
-  std::vector<pipe::StageEngineResult> results(3 * loads.size());
+  // --batch=0 takes whatever is queued.
+  const std::uint32_t bound =
+      batch != 0 ? static_cast<std::uint32_t>(batch)
+                 : std::numeric_limits<std::uint32_t>::max();
+  std::vector<synth::EngineResult> results(3 * loads.size());
   par::WorkerPool pool(static_cast<std::size_t>(jobs));
   pool.run(results.size(), [&](std::size_t cell, par::WorkerContext&) {
     const std::size_t mi = cell / loads.size();
     const std::size_t li = cell % loads.size();
-    pipe::StageEngineConfig cfg;
-    cfg.mode = modes[mi];
-    cfg.batch_limit = static_cast<std::uint32_t>(batch);
-    results[cell] = pipe::StageEngine(cfg).run(traces[li]);
+    // One core for LDLP; one stage per core, batched for the hybrid.
+    const synth::EngineConfig cfg =
+        synth::staged(mi == 0 ? 1 : pipe::kStageCount, mi == 1 ? 1 : bound);
+    results[cell] =
+        synth::Engine(cfg).run(synth::staged_layout(cfg), traces[li]);
   });
 
   for (std::size_t mi = 0; mi < 3; ++mi) {
@@ -84,7 +91,7 @@ int main(int argc, char** argv) {
                 "i/msg", "d/msg", "batch", "p50 lat", "p99 lat", "mean lat",
                 "drop%");
     for (std::size_t li = 0; li < loads.size(); ++li) {
-      const pipe::StageEngineResult& r = results[mi * loads.size() + li];
+      const synth::EngineResult& r = results[mi * loads.size() + li];
       const double drop_pct =
           r.offered != 0
               ? 100.0 * static_cast<double>(r.dropped) /
@@ -111,12 +118,12 @@ int main(int argc, char** argv) {
   // Per-stage attribution at the middle load, pipelined mode: where the
   // misses live when every stage has its own cache pair.
   {
-    const pipe::StageEngineResult& r = results[1 * loads.size() + 1];
+    const synth::EngineResult& r = results[1 * loads.size() + 1];
     benchutil::heading("Per-stage attribution (pipelined, middle load)");
     std::printf("%8s | %9s %9s | %10s %11s\n", "stage", "i-miss", "d-miss",
                 "msgs", "busy cyc");
     for (std::size_t s = 0; s < pipe::kStageCount; ++s) {
-      const pipe::StageBreakdown& sb = r.stages[s];
+      const synth::StageStats& sb = r.stages[s];
       std::printf("%8s | %9llu %9llu | %10llu %11llu\n",
                   pipe::stage_name(static_cast<pipe::Stage>(s)),
                   static_cast<unsigned long long>(sb.i_misses),

@@ -192,9 +192,7 @@ BENCHMARK(BM_TcpSegmentLdlp);
 
 /// The staged receive path (parse -> steer -> proto -> socket) on real
 /// frames: one iteration is a 16-datagram UDP burst carried tx -> wire ->
-/// StagedRx -> socket under one scheduling mode. `state.range(0)` toggles
-/// PipelineConfig::prefetch, so each mode reports the next-frame-header
-/// prefetch hint's effect on the native stage loop.
+/// StagedRx -> socket under one scheduling mode.
 void staged_rx_burst(benchmark::State& state, pipe::RxMode mode) {
   stack::HostConfig ca;
   ca.name = "tx";
@@ -213,7 +211,6 @@ void staged_rx_burst(benchmark::State& state, pipe::RxMode mode) {
   pc.mode = mode;
   pc.lanes = 2;
   pc.batch_limit = 8;
-  pc.prefetch = state.range(0) != 0;
   pipe::StagedRx staged(rx, pc);
 
   const stack::SocketId sock = rx.sockets().create(stack::SocketKind::kDatagram);
@@ -246,17 +243,17 @@ void staged_rx_burst(benchmark::State& state, pipe::RxMode mode) {
 void BM_StagedRxLdlp(benchmark::State& state) {
   staged_rx_burst(state, pipe::RxMode::kLdlp);
 }
-BENCHMARK(BM_StagedRxLdlp)->Arg(0)->Arg(1);
+BENCHMARK(BM_StagedRxLdlp);
 
 void BM_StagedRxPipelined(benchmark::State& state) {
   staged_rx_burst(state, pipe::RxMode::kPipelined);
 }
-BENCHMARK(BM_StagedRxPipelined)->Arg(0)->Arg(1);
+BENCHMARK(BM_StagedRxPipelined);
 
 void BM_StagedRxHybrid(benchmark::State& state) {
   staged_rx_burst(state, pipe::RxMode::kHybrid);
 }
-BENCHMARK(BM_StagedRxHybrid)->Arg(0)->Arg(1);
+BENCHMARK(BM_StagedRxHybrid);
 
 /// TCP connection churn: the paper counts "TCP's connection control
 /// messages" among its small-message workloads. One full connect/close

@@ -29,12 +29,12 @@
 #include "net/topology.hpp"
 #include "obs/bench_result.hpp"
 #include "overlay/gossip_sim.hpp"
-#include "par/shard_engine.hpp"
-#include "pipe/stage_engine.hpp"
+#include "pipe/pipeline.hpp"
 #include "recover/partition_heal.hpp"
 #include "rpc/fanout.hpp"
-#include "sim/cpu_model.hpp"
+#include "sim/memory_system.hpp"
 #include "stack/rx_path_trace.hpp"
+#include "synth/engine.hpp"
 #include "synth/sweep.hpp"
 #include "time/timer_wheel.hpp"
 #include "trace/working_set.hpp"
@@ -103,21 +103,17 @@ inline obs::BenchResult gate_checksum() {
   result.name = "gate_checksum";
   result.tolerance = 1e-9;
 
-  const auto fill_cycles = [](std::uint32_t code_bytes, double fixed) {
-    sim::CpuModel cold(sim::CpuConfig{});
-    sim::CpuModel warm(sim::CpuConfig{});
-    warm.ifetch(0x10000, code_bytes);
-    const std::uint64_t w0 = warm.busy_cycles();
-    const std::uint64_t c0 = cold.busy_cycles();
-    cold.ifetch(0x10000, code_bytes);
-    cold.execute(static_cast<std::uint64_t>(fixed));
-    warm.ifetch(0x10000, code_bytes);
-    warm.execute(static_cast<std::uint64_t>(fixed));
-    return static_cast<double>((cold.busy_cycles() - c0) -
-                               (warm.busy_cycles() - w0));
+  // Cold minus warm cycles for one call; the routine's compute cancels.
+  const auto fill_cycles = [](std::uint32_t code_bytes) {
+    sim::MemorySystem cold(sim::MemoryConfig{});
+    sim::MemorySystem warm(sim::MemoryConfig{});
+    (void)warm.access(sim::Access::kIFetch, 0x10000, code_bytes);
+    return static_cast<double>(
+        cold.access(sim::Access::kIFetch, 0x10000, code_bytes) -
+        warm.access(sim::Access::kIFetch, 0x10000, code_bytes));
   };
-  result.set_metric("bsd.cache_fill_cycles", fill_cycles(682, 80.0));
-  result.set_metric("simple.cache_fill_cycles", fill_cycles(288, 30.0));
+  result.set_metric("bsd.cache_fill_cycles", fill_cycles(682));
+  result.set_metric("simple.cache_fill_cycles", fill_cycles(288));
   return result;
 }
 
@@ -136,27 +132,26 @@ inline obs::BenchResult gate_synth() {
   opt.seed = 0x5eed;
   const std::vector<double> rates = {3000.0, 8000.0};
 
-  synth::SynthConfig conv;
-  conv.mode = synth::SynthMode::kConventional;
-  synth::SynthConfig ldlp = conv;
-  ldlp.mode = synth::SynthMode::kLdlp;
-  const auto pc = synth::sweep_poisson_rates(conv, rates, opt);
-  const auto pl = synth::sweep_poisson_rates(ldlp, rates, opt);
+  const sim::MemoryConfig mem;
+  const std::uint32_t batch_limit =
+      core::estimate_blocking({}, mem.icache, mem.dcache).batch_limit;
+  const auto pc = synth::sweep_poisson_rates(synth::conventional(), rates, opt);
+  const auto pl =
+      synth::sweep_poisson_rates(synth::ldlp(batch_limit), rates, opt);
 
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const std::string rate = std::to_string(static_cast<int>(rates[i]));
     const auto& c = pc[i].mean;
     const auto& l = pl[i].mean;
-    result.set_metric("conv.i_miss@" + rate, c.i_misses_per_msg);
-    result.set_metric("conv.d_miss@" + rate, c.d_misses_per_msg);
+    result.set_metric("conv.i_miss@" + rate, c.i_miss_per_msg);
+    result.set_metric("conv.d_miss@" + rate, c.d_miss_per_msg);
     result.set_metric("conv.mean_latency_sec@" + rate, c.mean_latency_sec);
-    result.set_metric("ldlp.i_miss@" + rate, l.i_misses_per_msg);
-    result.set_metric("ldlp.d_miss@" + rate, l.d_misses_per_msg);
+    result.set_metric("ldlp.i_miss@" + rate, l.i_miss_per_msg);
+    result.set_metric("ldlp.d_miss@" + rate, l.d_miss_per_msg);
     result.set_metric("ldlp.mean_latency_sec@" + rate, l.mean_latency_sec);
     result.set_metric("ldlp.mean_batch@" + rate, l.mean_batch);
   }
-  result.set_metric("ldlp.batch_limit",
-                    static_cast<double>(pl.front().mean.batch_limit));
+  result.set_metric("ldlp.batch_limit", static_cast<double>(batch_limit));
   return result;
 }
 
@@ -171,17 +166,18 @@ inline obs::BenchResult gate_shard_sweep() {
   result.tolerance = 0.05;
 
   double single_queue_i = 0.0;
+  const sim::MemoryConfig mem;
   for (const std::uint32_t shards : {1u, 4u, 8u}) {
-    par::ShardEngineConfig cfg;
-    cfg.shards = shards;
-    cfg.flows = 64;
-    cfg.messages = 6000;
-    cfg.arrival_rate_hz = 16000.0;
-    cfg.coalesce_sec = 750e-6;
-    cfg.seed = 0x5eed;
-    const par::ShardEngineResult r = par::ShardEngine(cfg).run();
+    const synth::EngineConfig cfg = synth::sharded(
+        shards,
+        core::plan_shards({}, mem.icache, mem.dcache, shards).batch_limit,
+        750e-6);
+    const synth::LaneTrace trace =
+        synth::shard_trace(shards, 64, 6000, 16000.0, 0x5eed);
+    const synth::EngineResult r = synth::Engine(cfg).run(
+        synth::sharded_layout(cfg), trace.arrivals, trace.lanes);
     std::uint64_t max_i = 0;
-    for (const par::ShardStats& s : r.shards)
+    for (const synth::CoreStats& s : r.cores)
       max_i = std::max<std::uint64_t>(max_i, s.i_misses);
     if (shards == 1) single_queue_i = static_cast<double>(max_i);
     const std::string key = "@" + std::to_string(shards);
@@ -190,7 +186,7 @@ inline obs::BenchResult gate_shard_sweep() {
     result.set_metric("i_miss_per_msg" + key, r.i_miss_per_msg);
     result.set_metric("mean_latency_sec" + key, r.mean_latency_sec);
     result.set_metric("mean_batch" + key, r.mean_batch);
-    result.set_metric("max_shard_share" + key, r.max_shard_share);
+    result.set_metric("max_shard_share" + key, synth::max_lane_share(r));
   }
   return result;
 }
@@ -480,12 +476,12 @@ inline obs::BenchResult gate_pipeline() {
 
   const pipe::RxMode modes[] = {pipe::RxMode::kLdlp, pipe::RxMode::kPipelined,
                                 pipe::RxMode::kHybrid};
-  pipe::StageEngineResult runs[3];
+  synth::EngineResult runs[3];
   for (std::size_t mi = 0; mi < 3; ++mi) {
-    pipe::StageEngineConfig cfg;
-    cfg.mode = modes[mi];
-    cfg.batch_limit = 8;
-    runs[mi] = pipe::StageEngine(cfg).run(trace);
+    // One core for LDLP; one stage per core, batched for the hybrid.
+    const synth::EngineConfig cfg =
+        synth::staged(mi == 0 ? 1 : pipe::kStageCount, mi == 1 ? 1 : 8);
+    runs[mi] = synth::Engine(cfg).run(synth::staged_layout(cfg), trace);
     const std::string key = pipe::rx_mode_name(modes[mi]);
     result.set_metric("i_miss_per_msg." + key, runs[mi].i_miss_per_msg);
     result.set_metric("d_miss_per_msg." + key, runs[mi].d_miss_per_msg);

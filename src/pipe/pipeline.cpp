@@ -5,12 +5,6 @@
 
 #include "common/assert.hpp"
 
-#if defined(__GNUC__) || defined(__clang__)
-#define LDLP_PIPE_PREFETCH(p) __builtin_prefetch(p)
-#else
-#define LDLP_PIPE_PREFETCH(p) ((void)(p))
-#endif
-
 namespace ldlp::pipe {
 
 const char* rx_mode_name(RxMode mode) noexcept {
@@ -90,13 +84,8 @@ void StagedRx::run_parse(std::size_t limit, par::WorkerPool* pool) {
       hashes[i] = classify_hash(batch[i]);
     });
   } else {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (cfg_.prefetch && i + 1 < batch.size()) {
-        const buf::Mbuf* next_head = batch[i + 1].head();
-        if (next_head != nullptr) LDLP_PIPE_PREFETCH(next_head->data());
-      }
+    for (std::size_t i = 0; i < batch.size(); ++i)
       hashes[i] = classify_hash(batch[i]);
-    }
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (offer(steer_, steer_q_, std::move(batch[i])))
@@ -123,10 +112,6 @@ void StagedRx::run_proto() {
     if (q.empty()) continue;
     ++proto_.activations;
     while (!q.empty()) {
-      if (cfg_.prefetch) {
-        const buf::Mbuf* next = q.peek_head()->nextpkt();
-        if (next != nullptr) LDLP_PIPE_PREFETCH(next->data());
-      }
       buf::Packet frame = q.pop();
       ++proto_.handed_off;
       host_.inject_rx(std::move(frame));

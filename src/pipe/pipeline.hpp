@@ -70,8 +70,6 @@ struct PipelineConfig {
   /// kHybrid: frames per stage batch (0 = whatever is queued). Ignored by
   /// kLdlp (whole backlog) and kPipelined (always 1).
   std::size_t batch_limit = 0;
-  /// Prefetch the next frame's header at the top of the stage loops.
-  bool prefetch = false;
   /// Symmetric flow hash (co-steer both directions onto one lane).
   bool symmetric = false;
   std::uint64_t hash_seed = stack::FlowHash::kDefaultKeySeed;

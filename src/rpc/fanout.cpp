@@ -8,11 +8,12 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "core/blocking.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "par/worker_pool.hpp"
 #include "rpc/xdr.hpp"
-#include "synth/synth_stack.hpp"
+#include "synth/engine.hpp"
 #include "traffic/arrivals.hpp"
 #include "traffic/self_similar.hpp"
 #include "traffic/size_models.hpp"
@@ -122,17 +123,26 @@ ServiceCost calibrate_service_cost(core::SchedMode mode,
     if (it != cache.end()) return it->second;
   }
 
-  synth::SynthConfig scfg;
-  scfg.mode = synth::from_sched(mode);
-  scfg.typical_message_bytes = static_cast<std::uint32_t>(message_bytes);
-  const auto busy_per_msg = [&scfg, message_bytes](double rate,
-                                                   double horizon) {
-    synth::SynthStack stack(scfg);
+  core::StackFootprint footprint;
+  footprint.message_bytes = static_cast<std::uint32_t>(message_bytes);
+  const sim::MemoryConfig mem;
+  const synth::EngineConfig cfg =
+      mode == core::SchedMode::kLdlp
+          ? synth::ldlp(core::estimate_blocking(footprint, mem.icache,
+                                                mem.dcache)
+                            .batch_limit)
+          : synth::conventional();
+  const synth::Engine engine(cfg);
+  const synth::Layout layout = synth::random_layout(cfg, /*seed=*/1);
+  const auto busy_per_msg = [&](double rate, double horizon) {
     traffic::DeterministicSource source(
         rate, static_cast<std::uint32_t>(message_bytes));
-    const synth::RunResult r = stack.run(source, horizon);
+    const synth::EngineResult r =
+        engine.run(layout, traffic::collect(source, horizon));
+    std::uint64_t busy = 0;
+    for (const synth::StageStats& stage : r.stages) busy += stage.busy_cycles;
     if (r.completed == 0) return 0.0;
-    return stack.cpu().seconds(stack.cpu().busy_cycles()) /
+    return static_cast<double>(busy) / cfg.cpu.clock_hz /
            static_cast<double>(r.completed);
   };
   // Solo pacing: 1 ms gaps dwarf the per-message cost, so every message

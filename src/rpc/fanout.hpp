@@ -64,7 +64,7 @@ enum class FanoutTransport : std::uint8_t { kUdp, kTcp };
 /// (fill > 0, small marginal); under conventional processing every
 /// message pays the full cost (fill ~ 0, marginal ~ solo cost), so the
 /// same formula models both. Calibrated, not invented: two short
-/// synth::SynthStack runs (solo-paced and saturated) on the paper's
+/// synth::Engine runs (solo-paced and saturated) on the paper's
 /// simulated machine yield the two numbers per scheduling mode.
 struct ServiceCost {
   double fill_sec = 0.0;      ///< Batch-fixed cost (cache fill).
@@ -72,7 +72,7 @@ struct ServiceCost {
   [[nodiscard]] bool enabled() const noexcept { return marginal_sec > 0.0; }
 };
 
-/// Measure ServiceCost for `mode` on the synth machine with
+/// Measure ServiceCost for `mode` on the simulated machine with
 /// `message_bytes` messages. Deterministic; results are cached per
 /// (mode, size), and safe to call from worker threads.
 [[nodiscard]] ServiceCost calibrate_service_cost(core::SchedMode mode,

@@ -5,7 +5,7 @@
 // a 20-cycle read-miss stall. This class models exactly that — a tag array
 // with true-LRU replacement within a set (direct-mapped when ways == 1) —
 // and nothing more: no write buffers, no prefetch, no hierarchy below. A
-// miss is a miss; the penalty is applied by MemorySystem/CpuModel.
+// miss is a miss; the penalty is applied by MemorySystem.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,8 @@
-// Cycle-accounting CPU model.
-//
 // The paper's synthetic machine: a single-issue processor at a configurable
-// clock rate whose only stalls are primary-cache misses. Instruction
-// execution is charged as cycles directly (the synthetic layers specify
-// cycles per message); instruction *fetch* is charged through the I-cache.
+// clock rate whose only stalls are primary-cache misses (sim::MemorySystem).
+// synth::Engine charges a stage's instruction execution as cycles directly
+// and its instruction fetch and data traffic through the caches.
 #pragma once
-
-#include <cstdint>
 
 #include "sim/memory_system.hpp"
 
@@ -15,54 +11,6 @@ namespace ldlp::sim {
 struct CpuConfig {
   double clock_hz = 100e6;  ///< Paper section 4 uses 100 MHz.
   MemoryConfig memory{};
-};
-
-class CpuModel {
- public:
-  explicit CpuModel(CpuConfig cfg) : cfg_(cfg), memory_(cfg.memory) {}
-
-  [[nodiscard]] const CpuConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] MemorySystem& memory() noexcept { return memory_; }
-  [[nodiscard]] const MemorySystem& memory() const noexcept { return memory_; }
-
-  /// Charge pure execution cycles (no memory traffic).
-  void execute(std::uint64_t cycles) noexcept { busy_cycles_ += cycles; }
-
-  /// Fetch `len` bytes of instructions at `addr`; charges I-cache stalls.
-  void ifetch(std::uint64_t addr, std::uint64_t len) noexcept {
-    busy_cycles_ += memory_.access(Access::kIFetch, addr, len);
-  }
-
-  /// Data read/write of `len` bytes at `addr`; charges D-cache stalls.
-  void read(std::uint64_t addr, std::uint64_t len) noexcept {
-    busy_cycles_ += memory_.access(Access::kRead, addr, len);
-  }
-  void write(std::uint64_t addr, std::uint64_t len) noexcept {
-    busy_cycles_ += memory_.access(Access::kWrite, addr, len);
-  }
-
-  [[nodiscard]] std::uint64_t busy_cycles() const noexcept {
-    return busy_cycles_;
-  }
-
-  /// Wall-clock seconds corresponding to `cycles` at this clock rate.
-  [[nodiscard]] double seconds(std::uint64_t cycles) const noexcept {
-    return static_cast<double>(cycles) / cfg_.clock_hz;
-  }
-  [[nodiscard]] double busy_seconds() const noexcept {
-    return seconds(busy_cycles_);
-  }
-
-  void reset() noexcept {
-    busy_cycles_ = 0;
-    memory_.flush();
-    memory_.reset_stats();
-  }
-
- private:
-  CpuConfig cfg_;
-  MemorySystem memory_;
-  std::uint64_t busy_cycles_ = 0;
 };
 
 }  // namespace ldlp::sim

@@ -6,47 +6,42 @@
 
 namespace ldlp::synth {
 
-RunResult average(const std::vector<RunResult>& results) {
-  RunResult mean;
+EngineResult average(const std::vector<EngineResult>& results) {
+  EngineResult mean;
   if (results.empty()) return mean;
   const auto n = static_cast<double>(results.size());
-  for (const RunResult& r : results) {
+  for (const EngineResult& r : results) {
     mean.offered += r.offered;
     mean.completed += r.completed;
     mean.dropped += r.dropped;
     mean.mean_latency_sec += r.mean_latency_sec / n;
-    mean.p50_latency_sec += r.p50_latency_sec / n;
-    mean.p99_latency_sec += r.p99_latency_sec / n;
-    mean.max_latency_sec = std::max(mean.max_latency_sec, r.max_latency_sec);
-    mean.i_misses_per_msg += r.i_misses_per_msg / n;
-    mean.d_misses_per_msg += r.d_misses_per_msg / n;
+    mean.i_miss_per_msg += r.i_miss_per_msg / n;
+    mean.d_miss_per_msg += r.d_miss_per_msg / n;
     mean.mean_batch += r.mean_batch / n;
-    mean.busy_fraction += r.busy_fraction / n;
   }
   mean.offered /= results.size();
   mean.completed /= results.size();
   mean.dropped /= results.size();
-  mean.batch_limit = results.front().batch_limit;
   return mean;
 }
 
-std::vector<SweepPoint> sweep_poisson_rates(const SynthConfig& base,
+std::vector<SweepPoint> sweep_poisson_rates(const EngineConfig& base,
                                             const std::vector<double>& rates,
                                             const SweepOptions& options) {
   LDLP_ASSERT(options.runs > 0 && options.run_seconds > 0.0);
+  const Engine engine(base);
   std::vector<SweepPoint> points;
   points.reserve(rates.size());
   Rng master(options.seed);
   for (const double rate : rates) {
-    std::vector<RunResult> runs;
+    std::vector<EngineResult> runs;
     runs.reserve(options.runs);
     for (std::uint32_t run = 0; run < options.runs; ++run) {
-      SynthConfig cfg = base;
-      cfg.layout_seed = master();
-      SynthStack stack(cfg);
+      const Layout layout = random_layout(base, master());
       traffic::PoissonSource source(rate, traffic::internet552_sizes(),
                                     master());
-      runs.push_back(stack.run(source, options.run_seconds));
+      runs.push_back(
+          engine.run(layout, traffic::collect(source, options.run_seconds)));
     }
     points.push_back(SweepPoint{rate, average(runs)});
   }
@@ -54,23 +49,20 @@ std::vector<SweepPoint> sweep_poisson_rates(const SynthConfig& base,
 }
 
 std::vector<SweepPoint> sweep_cpu_clock(
-    const SynthConfig& base, const std::vector<traffic::PacketArrival>& trace,
+    const EngineConfig& base, const std::vector<traffic::PacketArrival>& trace,
     const std::vector<double>& clocks_hz, const SweepOptions& options) {
   LDLP_ASSERT(options.runs > 0 && !trace.empty());
   std::vector<SweepPoint> points;
   points.reserve(clocks_hz.size());
   Rng master(options.seed);
   for (const double clock : clocks_hz) {
-    std::vector<RunResult> runs;
+    EngineConfig cfg = base;
+    cfg.cpu.clock_hz = clock;
+    const Engine engine(cfg);
+    std::vector<EngineResult> runs;
     runs.reserve(options.runs);
-    for (std::uint32_t run = 0; run < options.runs; ++run) {
-      SynthConfig cfg = base;
-      cfg.cpu.clock_hz = clock;
-      cfg.layout_seed = master();
-      SynthStack stack(cfg);
-      traffic::TraceReplaySource source(trace);
-      runs.push_back(stack.run(source, trace.back().time));
-    }
+    for (std::uint32_t run = 0; run < options.runs; ++run)
+      runs.push_back(engine.run(random_layout(cfg, master()), trace));
     points.push_back(SweepPoint{clock, average(runs)});
   }
   return points;

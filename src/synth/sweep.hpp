@@ -1,4 +1,4 @@
-// Multi-run parameter sweeps over the synthetic stack.
+// Multi-run parameter sweeps over the paper's synthetic stack.
 //
 // The paper averages 100 one-second runs per point, each with a fresh
 // random memory layout (section 4). These helpers run that protocol for
@@ -9,14 +9,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "synth/synth_stack.hpp"
+#include "synth/engine.hpp"
 #include "traffic/arrivals.hpp"
 
 namespace ldlp::synth {
 
 struct SweepPoint {
-  double x = 0.0;  ///< Arrival rate (msgs/sec) or CPU clock (Hz).
-  RunResult mean;  ///< Field-wise mean over runs.
+  double x = 0.0;     ///< Arrival rate (msgs/sec) or CPU clock (Hz).
+  EngineResult mean;  ///< Field-wise mean over runs.
 };
 
 struct SweepOptions {
@@ -25,19 +25,20 @@ struct SweepOptions {
   std::uint64_t seed = 0x5eed;     ///< Master seed (layouts + arrivals).
 };
 
-/// Figures 5/6: Poisson arrivals of 552-byte messages, rate sweep.
+/// Figures 5/6: Poisson arrivals of 552-byte messages, rate sweep. `base`
+/// is a config from conventional(), ilp() or ldlp().
 [[nodiscard]] std::vector<SweepPoint> sweep_poisson_rates(
-    const SynthConfig& base, const std::vector<double>& rates,
+    const EngineConfig& base, const std::vector<double>& rates,
     const SweepOptions& options);
 
 /// Figure 7: fixed arrival trace, CPU clock sweep. The trace is replayed
 /// identically at every clock speed; only service times change.
 [[nodiscard]] std::vector<SweepPoint> sweep_cpu_clock(
-    const SynthConfig& base, const std::vector<traffic::PacketArrival>& trace,
+    const EngineConfig& base, const std::vector<traffic::PacketArrival>& trace,
     const std::vector<double>& clocks_hz, const SweepOptions& options);
 
-/// Field-wise mean of several results (latency fields are averaged over
-/// runs; counts are summed then divided — i.e. also means).
-[[nodiscard]] RunResult average(const std::vector<RunResult>& results);
+/// Mean over runs of the counts, the mean latency, the misses per message
+/// and the batch; percentiles and breakdowns are left empty.
+[[nodiscard]] EngineResult average(const std::vector<EngineResult>& results);
 
 }  // namespace ldlp::synth

@@ -54,8 +54,20 @@ TimerId TimerWheel::arm(double deadline_sec, TimerClass cls,
   const TimerId id =
       (static_cast<std::uint64_t>(node.gen) << 32) | (index + 1ull);
   place(id);
-  soonest_.emplace(node.deadline, id);
+  soonest_.emplace_back(node.deadline, id);
+  std::push_heap(soonest_.begin(), soonest_.end(), std::greater<>{});
   ++live_;
+  if (soonest_.size() > 2 * live_ + 64) {
+    // Nothing on the advance path peels the heap, so drop the stale
+    // entries here: each live id has exactly one entry, so the rebuilt
+    // heap pops in the same order, and the O(heap) rebuild is paid for by
+    // the live_ + 64 arms since the last one.
+    std::erase_if(soonest_, [this](const std::pair<double, TimerId>& e) {
+      const Node* live = resolve(e.second);
+      return live == nullptr || live->deadline != e.first;
+    });
+    std::make_heap(soonest_.begin(), soonest_.end(), std::greater<>{});
+  }
   ++stats_.arms;
   stats_.max_armed = std::max<std::uint64_t>(stats_.max_armed, live_);
   emit(TimerEvent::Kind::kArm, node, id);
@@ -110,12 +122,17 @@ double TimerWheel::deadline_of(TimerId id) const noexcept {
                          : std::numeric_limits<double>::infinity();
 }
 
+void TimerWheel::pop_soonest() const noexcept {
+  std::pop_heap(soonest_.begin(), soonest_.end(), std::greater<>{});
+  soonest_.pop_back();
+}
+
 double TimerWheel::next_deadline() const noexcept {
   while (!soonest_.empty()) {
-    const auto& [deadline, id] = soonest_.top();
+    const auto& [deadline, id] = soonest_.front();
     const Node* node = resolve(id);
     if (node != nullptr && node->deadline == deadline) return deadline;
-    soonest_.pop();  // fired, cancelled, or superseded — peel and retry
+    pop_soonest();  // fired, cancelled, or superseded — peel and retry
   }
   return std::numeric_limits<double>::infinity();
 }
@@ -215,8 +232,8 @@ void TimerWheel::advance_to(double now_sec) {
     int quota = std::min(storm_, cfg_.storm_spurious_cap);
     stats_.shed += static_cast<std::uint64_t>(storm_ - quota);
     while (quota > 0 && !soonest_.empty()) {
-      const auto [deadline, id] = soonest_.top();
-      soonest_.pop();
+      const auto [deadline, id] = soonest_.front();
+      pop_soonest();
       const Node* node = resolve(id);
       if (node == nullptr || node->deadline != deadline) continue;
       emit(TimerEvent::Kind::kSpurious, *node, id);

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -114,6 +113,11 @@ class TimerWheel {
   /// amortized — this is what makes event-driven idle ticks possible.
   [[nodiscard]] double next_deadline() const noexcept;
   [[nodiscard]] std::size_t armed_count() const noexcept { return live_; }
+  /// Entries in the lazy deadline heap, stale ones included; kept at most
+  /// 2 * armed_count() + 64.
+  [[nodiscard]] std::size_t deadline_heap_size() const noexcept {
+    return soonest_.size();
+  }
   [[nodiscard]] const WheelStats& stats() const noexcept { return stats_; }
   [[nodiscard]] WheelConfig& config() noexcept { return cfg_; }
 
@@ -152,6 +156,8 @@ class TimerWheel {
   void emit(TimerEvent::Kind kind, const Node& node, TimerId id);
   /// Detach a node (bump gen, free the slot) returning its callback.
   std::function<void()> detach(std::uint32_t index);
+  /// Pop the soonest_ heap's top entry.
+  void pop_soonest() const noexcept;
 
   WheelConfig cfg_;
   double now_ = 0.0;
@@ -166,12 +172,11 @@ class TimerWheel {
   std::vector<TimerId> slots_[kLevels][kSlots];
   std::vector<TimerId> overflow_;  ///< Beyond the level-3 horizon.
   std::vector<TimerId> due_now_;   ///< Armed-in-past; fire next advance.
-  /// Lazy min-heap over (deadline, id) for next_deadline(); entries for
-  /// fired/cancelled timers are peeled on query.
-  mutable std::priority_queue<std::pair<double, TimerId>,
-                              std::vector<std::pair<double, TimerId>>,
-                              std::greater<>>
-      soonest_;
+  /// Lazy min-heap (std::greater<> heap order) over (deadline, id) for
+  /// next_deadline() and storms; entries for fired/cancelled timers are
+  /// peeled on query, and arm() drops them all once they outnumber the
+  /// live ones.
+  mutable std::vector<std::pair<double, TimerId>> soonest_;
   WheelStats stats_;
   std::function<void(const TimerEvent&)> observer_;
 };

@@ -57,23 +57,6 @@ std::optional<PacketArrival> BurstSource::next() {
   return PacketArrival{t, size_};
 }
 
-TraceReplaySource::TraceReplaySource(std::vector<PacketArrival> trace)
-    : trace_(std::move(trace)) {
-  LDLP_ASSERT_MSG(
-      std::is_sorted(trace_.begin(), trace_.end(),
-                     [](const PacketArrival& a, const PacketArrival& b) {
-                       return a.time < b.time;
-                     }),
-      "trace must be time-sorted");
-}
-
-std::optional<PacketArrival> TraceReplaySource::next() {
-  if (pos_ >= trace_.size()) return std::nullopt;
-  PacketArrival out = trace_[pos_++];
-  out.time *= scale_;
-  return out;
-}
-
 std::vector<PacketArrival> collect(ArrivalSource& source,
                                    eventsim::SimTime horizon,
                                    std::size_t max_count) {

@@ -82,23 +82,6 @@ class BurstSource final : public ArrivalSource {
   bool first_ = true;
 };
 
-/// Replays a pre-generated arrival vector (must be time-sorted).
-class TraceReplaySource final : public ArrivalSource {
- public:
-  explicit TraceReplaySource(std::vector<PacketArrival> trace);
-
-  [[nodiscard]] std::optional<PacketArrival> next() override;
-
-  /// Replay the same trace with all gaps scaled by `factor` (>1 slows the
-  /// trace down). Used by tests; Figure 7 instead rescales CPU speed.
-  void set_time_scale(double factor) noexcept { scale_ = factor; }
-
- private:
-  std::vector<PacketArrival> trace_;
-  std::size_t pos_ = 0;
-  double scale_ = 1.0;
-};
-
 /// Drains a source up to `horizon` seconds (or `max_count` arrivals).
 [[nodiscard]] std::vector<PacketArrival> collect(
     ArrivalSource& source, eventsim::SimTime horizon,

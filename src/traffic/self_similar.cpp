@@ -66,10 +66,4 @@ std::vector<PacketArrival> generate_self_similar_trace(
   return out;
 }
 
-std::unique_ptr<TraceReplaySource> make_self_similar_source(
-    const SelfSimilarConfig& config, SizeModel& sizes, std::uint64_t seed) {
-  return std::make_unique<TraceReplaySource>(
-      generate_self_similar_trace(config, sizes, seed));
-}
-
 }  // namespace ldlp::traffic

@@ -35,8 +35,4 @@ struct SelfSimilarConfig {
 [[nodiscard]] std::vector<PacketArrival> generate_self_similar_trace(
     const SelfSimilarConfig& config, SizeModel& sizes, std::uint64_t seed);
 
-/// Convenience: generator wrapped as a replayable source.
-[[nodiscard]] std::unique_ptr<TraceReplaySource> make_self_similar_source(
-    const SelfSimilarConfig& config, SizeModel& sizes, std::uint64_t seed);
-
 }  // namespace ldlp::traffic

@@ -1,4 +1,4 @@
-// Unit tests for the discrete-event engine and latency recorder.
+// Unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "eventsim/event_queue.hpp"
-#include "eventsim/latency_recorder.hpp"
 
 namespace ldlp::eventsim {
 namespace {
@@ -97,30 +96,6 @@ TEST(EventQueue, AdvancesClockToHorizonWhenDrained) {
   queue.schedule_at(1.0, [] {});
   queue.run_until(10.0);
   EXPECT_DOUBLE_EQ(queue.now(), 10.0);
-}
-
-TEST(LatencyRecorder, BasicAccounting) {
-  LatencyRecorder rec;
-  rec.record_completion(0.0, 0.001);
-  rec.record_completion(0.0, 0.003);
-  rec.record_drop();
-  EXPECT_EQ(rec.completed(), 2u);
-  EXPECT_EQ(rec.drops(), 1u);
-  EXPECT_DOUBLE_EQ(rec.mean_latency(), 0.002);
-  EXPECT_DOUBLE_EQ(rec.max_latency(), 0.003);
-  EXPECT_GT(rec.p99_latency(), rec.p50_latency() * 0.99);
-}
-
-TEST(LatencyRecorder, MergeCombines) {
-  LatencyRecorder a;
-  LatencyRecorder b;
-  a.record_completion(0.0, 0.001);
-  b.record_completion(0.0, 0.009);
-  b.record_drop();
-  a.merge(b);
-  EXPECT_EQ(a.completed(), 2u);
-  EXPECT_EQ(a.drops(), 1u);
-  EXPECT_DOUBLE_EQ(a.mean_latency(), 0.005);
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// ldlp::par — flow steering, multi-queue receive, the worker pool, and
-// the sharded LDLP engine.
+// ldlp::par — flow steering, multi-queue receive and the worker pool.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
-#include "par/shard_engine.hpp"
 #include "par/worker_pool.hpp"
 #include "stack/host.hpp"
 #include "stack/netdev.hpp"
@@ -250,47 +248,6 @@ TEST(WorkerPool, PropagatesTheFirstException) {
                  if (job == 7) throw std::runtime_error("job 7 failed");
                }),
       std::runtime_error);
-}
-
-TEST(ShardEngine, RunsAreBitIdentical) {
-  par::ShardEngineConfig cfg;
-  cfg.shards = 4;
-  cfg.messages = 2000;
-  const par::ShardEngineResult a = par::ShardEngine(cfg).run();
-  const par::ShardEngineResult b = par::ShardEngine(cfg).run();
-  EXPECT_EQ(a.mean_latency_sec, b.mean_latency_sec);
-  EXPECT_EQ(a.p99_latency_sec, b.p99_latency_sec);
-  EXPECT_EQ(a.i_miss_per_msg, b.i_miss_per_msg);
-  ASSERT_EQ(a.shards.size(), b.shards.size());
-  for (std::size_t s = 0; s < a.shards.size(); ++s) {
-    EXPECT_EQ(a.shards[s].messages, b.shards[s].messages);
-    EXPECT_EQ(a.shards[s].i_misses, b.shards[s].i_misses);
-  }
-}
-
-TEST(ShardEngine, ConservesMessagesAcrossShards) {
-  par::ShardEngineConfig cfg;
-  cfg.shards = 8;
-  cfg.messages = 4000;
-  const par::ShardEngineResult r = par::ShardEngine(cfg).run();
-  std::uint64_t total = 0;
-  for (const par::ShardStats& s : r.shards) total += s.messages;
-  EXPECT_EQ(total, cfg.messages);
-  EXPECT_GE(r.max_shard_share, 1.0);
-  EXPECT_LT(r.max_shard_share, 2.0) << "Toeplitz skew out of bounds";
-}
-
-TEST(ShardEngine, CoalescingRefillsBatches) {
-  par::ShardEngineConfig poll;
-  poll.shards = 4;
-  poll.messages = 4000;
-  poll.arrival_rate_hz = 16000.0;
-  par::ShardEngineConfig coal = poll;
-  coal.coalesce_sec = 750e-6;
-  const par::ShardEngineResult p = par::ShardEngine(poll).run();
-  const par::ShardEngineResult c = par::ShardEngine(coal).run();
-  EXPECT_GT(c.mean_batch, p.mean_batch);
-  EXPECT_LT(c.i_miss_per_msg, p.i_miss_per_msg);
 }
 
 /// End to end: a TCP connection through a Host whose device runs two RX

@@ -1,6 +1,5 @@
 // Tests for ldlp::pipe — the staged receive path (parse -> steer ->
-// proto -> socket) and the stage-level cache/latency engine behind
-// fig_pipeline.
+// proto -> socket).
 //
 // The properties pinned here are the ones the design note promises:
 //  * per-flow FIFO through the stages, even when the wire reorders and
@@ -12,9 +11,7 @@
 //    end to end on a real TCP transfer;
 //  * the parse stage's parallel classification is bit-identical for any
 //    WorkerPool size;
-//  * the wide checksum is the same function as the scalar ones;
-//  * the stage engine is deterministic and shows the two-sided
-//    i-miss/d-miss separation the figure argues from.
+//  * the wide checksum is the same function as the scalar ones.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,10 +24,7 @@
 #include "obs/metrics.hpp"
 #include "par/worker_pool.hpp"
 #include "pipe/pipeline.hpp"
-#include "pipe/stage_engine.hpp"
 #include "stack/host.hpp"
-#include "traffic/self_similar.hpp"
-#include "traffic/size_models.hpp"
 #include "wire/checksum.hpp"
 
 namespace ldlp {
@@ -310,66 +304,6 @@ TEST(Publish, PerStageCountersLandInTheRegistry) {
   EXPECT_GT(registry.counter("pipe.socket.handed_off").value(), 0u);
   EXPECT_EQ(registry.counter("pipe.parse.drops").value(), 0u);
   EXPECT_EQ(registry.gauge("pipe.lanes").value(), 2.0);
-}
-
-// ---- StageEngine: the simulated three-way figure ----------------------
-
-std::vector<traffic::PacketArrival> short_trace(double rate) {
-  traffic::SelfSimilarConfig tc;
-  tc.mean_rate_per_sec = rate;
-  tc.duration_sec = 0.25;
-  const auto sizes = traffic::internet552_sizes();
-  return traffic::generate_self_similar_trace(tc, *sizes, 0xf19);
-}
-
-pipe::StageEngineResult engine_run(pipe::RxMode mode, double rate) {
-  pipe::StageEngineConfig cfg;
-  cfg.mode = mode;
-  cfg.batch_limit = 8;
-  return pipe::StageEngine(cfg).run(short_trace(rate));
-}
-
-TEST(StageEngine, DeterministicAcrossRuns) {
-  const auto a = engine_run(pipe::RxMode::kHybrid, 15000.0);
-  const auto b = engine_run(pipe::RxMode::kHybrid, 15000.0);
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_DOUBLE_EQ(a.i_miss_per_msg, b.i_miss_per_msg);
-  EXPECT_DOUBLE_EQ(a.d_miss_per_msg, b.d_miss_per_msg);
-  EXPECT_DOUBLE_EQ(a.p99_latency_sec, b.p99_latency_sec);
-}
-
-TEST(StageEngine, ConservesMessages) {
-  for (const pipe::RxMode mode :
-       {pipe::RxMode::kLdlp, pipe::RxMode::kPipelined, pipe::RxMode::kHybrid}) {
-    const auto r = engine_run(mode, 20000.0);
-    EXPECT_EQ(r.offered, r.completed + r.dropped) << pipe::rx_mode_name(mode);
-    EXPECT_GT(r.completed, 0u) << pipe::rx_mode_name(mode);
-  }
-}
-
-TEST(StageEngine, TwoSidedCacheSeparation) {
-  const auto ldlp = engine_run(pipe::RxMode::kLdlp, 15000.0);
-  const auto piped = engine_run(pipe::RxMode::kPipelined, 15000.0);
-  // LDLP refetches the four stage bodies every batch; the pipelined
-  // stages keep their own code resident.
-  EXPECT_GT(ldlp.i_miss_per_msg, 10.0 * (piped.i_miss_per_msg + 1e-9));
-  // The pipeline pulls every message into four private d-caches.
-  EXPECT_GT(piped.d_miss_per_msg, 1.5 * ldlp.d_miss_per_msg);
-  // Batching actually happened under LDLP.
-  EXPECT_GT(ldlp.mean_batch, 1.5);
-  EXPECT_DOUBLE_EQ(piped.mean_batch, 1.0);
-}
-
-TEST(StageEngine, HybridAmortisesActivationsPastSaturation) {
-  // Past the pipeline's bottleneck stage, per-message activations are
-  // what breaks the pipelined schedule; the hybrid batches them away.
-  const auto piped = engine_run(pipe::RxMode::kPipelined, 48000.0);
-  const auto hybrid = engine_run(pipe::RxMode::kHybrid, 48000.0);
-  EXPECT_GT(hybrid.mean_batch, 1.5);
-  EXPECT_LT(hybrid.p99_latency_sec, piped.p99_latency_sec);
-  EXPECT_LE(hybrid.dropped, piped.dropped);
 }
 
 // ---- The wide checksum is the same function ---------------------------

@@ -26,6 +26,7 @@
 #include "bench/soak_scenarios.hpp"
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
+#include "common/rng.hpp"
 #include "dns/resolver.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -132,6 +133,32 @@ TEST(Wheel, StormSpuriousFiresAreCappedAndDueTimersStillFire) {
   EXPECT_EQ(early_fired, 2);
   EXPECT_EQ(w.stats().spurious_fires, 2u);
   EXPECT_GT(w.stats().shed, 0u);  // the excess demand was shed, not fired
+}
+
+TEST(Wheel, DeadlineHeapStaysBoundedUnderChurn) {
+  // A busy host re-arms far more often than anything asks for
+  // next_deadline(): 1M cancel/re-arm ops driven only by advance_to must
+  // keep the lazy deadline heap within 2 * armed + 64, and keep its order.
+  TimerWheel w;
+  Rng rng(0xc4a2);
+  constexpr std::size_t kConns = 1024;
+  std::vector<time::TimerId> ids(kConns, time::kNoTimer);
+  double t = 0.0;
+  for (int op = 0; op < 1'000'000; ++op) {
+    const auto i = static_cast<std::size_t>(rng.bounded(kConns));
+    (void)w.cancel(ids[i]);
+    ids[i] = w.arm(t + rng.uniform(0.01, 0.4), TimerClass::kLiveness, [] {});
+    ASSERT_LE(w.deadline_heap_size(), 2 * w.armed_count() + 64) << op;
+    if (op % 128 == 0) {
+      t += 1e-3;
+      w.advance_to(t);
+    }
+  }
+  EXPECT_GT(w.stats().fires, 0u);
+  double soonest = std::numeric_limits<double>::infinity();
+  for (const time::TimerId id : ids)
+    soonest = std::min(soonest, w.deadline_of(id));
+  EXPECT_EQ(w.next_deadline(), soonest);
 }
 
 TEST(Wheel, ShedGuardRevertShedsStaleTimersWithEvents) {

@@ -148,15 +148,6 @@ TEST(SelfSimilar, BurstierThanPoisson) {
   EXPECT_GT(h_ss, h_pp + 0.1);
 }
 
-TEST(TraceReplay, ReplaysAndScales) {
-  std::vector<PacketArrival> trace{{1.0, 100}, {2.0, 200}};
-  TraceReplaySource source(trace);
-  source.set_time_scale(2.0);
-  EXPECT_DOUBLE_EQ(source.next()->time, 2.0);
-  EXPECT_EQ(source.next()->size_bytes, 200u);
-  EXPECT_FALSE(source.next().has_value());
-}
-
 TEST(TraceIo, SaveLoadRoundTrip) {
   const std::string path = ::testing::TempDir() + "/ldlp_trace_test.txt";
   std::vector<PacketArrival> trace{{0.001, 64}, {0.5, 1518}, {100.25, 552}};
