@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byteorder.hpp"
 #include "common/rng.hpp"
 #include "core/blocking.hpp"
 #include "fault/fault_plan.hpp"
@@ -33,6 +34,7 @@
 #include "recover/partition_heal.hpp"
 #include "rpc/fanout.hpp"
 #include "sim/memory_system.hpp"
+#include "stack/host.hpp"
 #include "stack/rx_path_trace.hpp"
 #include "synth/engine.hpp"
 #include "synth/sweep.hpp"
@@ -40,6 +42,7 @@
 #include "trace/working_set.hpp"
 #include "traffic/self_similar.hpp"
 #include "traffic/size_models.hpp"
+#include "traffic/zipf.hpp"
 
 namespace ldlp::regress {
 
@@ -497,6 +500,117 @@ inline obs::BenchResult gate_pipeline() {
   return result;
 }
 
+/// O(1) PCB demux at scale: a host pair with 1, 64, 1024
+/// and 10,000 established connections, then 4-byte segments on Zipf (s=1)
+/// flows. On the receiver it pins the 4-tuple table's slots read per
+/// lookup (one lookup per single-entry cache miss), the cache's hit ratio,
+/// and how many segments reached the right socket. Next to the probes it
+/// counts the PCBs the linear scan the table replaced would have visited
+/// for the same misses (a PCB's position in the list is its id). Every
+/// number is an exact function of the seed.
+inline obs::BenchResult gate_pcb_demux() {
+  obs::BenchResult result;
+  result.name = "gate_pcb_demux";
+  result.tolerance = 1e-9;
+
+  constexpr std::uint16_t kPort = 80;
+  constexpr std::uint32_t kHandshakeGroup = 16;  // SYNs per ring fill
+  constexpr std::uint32_t kSegments = 20000;
+  constexpr std::uint32_t kBurst = 16;  // segments per pump round
+  constexpr std::uint32_t kNoFlow = ~std::uint32_t{0};
+  for (const std::uint32_t conns : {1u, 64u, 1024u, 10000u}) {
+    stack::HostConfig ca;
+    ca.name = "a";
+    ca.mac = {2, 0, 0, 0, 0, 1};
+    ca.ip = wire::ip_from_parts(10, 0, 0, 1);
+    stack::HostConfig cb = ca;
+    cb.name = "b";
+    cb.mac = {2, 0, 0, 0, 0, 2};
+    cb.ip = wire::ip_from_parts(10, 0, 0, 2);
+    stack::Host a(ca);
+    stack::Host b(cb);
+    stack::NetDevice::connect(a.device(), b.device());
+    const auto settle = [&a, &b](int rounds) {
+      for (int i = 0; i < rounds; ++i) {
+        (void)a.pump();
+        (void)b.pump();
+      }
+    };
+
+    // Set-up: every connection's receiving PCB, found by A's port.
+    std::vector<stack::PcbId> a_conn(conns, stack::kNoPcb);
+    std::vector<stack::PcbId> b_pcb(conns, stack::kNoPcb);
+    std::vector<std::uint32_t> flow_of_port(65536, kNoFlow);
+    std::uint32_t cached = kNoFlow;  // B's single-entry cache, as a flow
+    (void)b.tcp().listen(kPort);
+    b.tcp().set_accept_hook([&](stack::PcbId id) {
+      const std::uint32_t f = flow_of_port[b.tcp().pcb_view(id).remote_port];
+      if (f == kNoFlow) return;
+      b_pcb[f] = id;
+      cached = f;  // ESTABLISHED loads the cache
+    });
+    // The first handshake goes alone: its SYN waits on ARP.
+    for (std::uint32_t lo = 0, hi = 1; lo < conns;
+         lo = hi, hi = std::min(conns, hi + kHandshakeGroup)) {
+      for (std::uint32_t f = lo; f < hi; ++f) {
+        a_conn[f] = a.tcp().connect(cb.ip, kPort);
+        flow_of_port[a.tcp().pcb_view(a_conn[f]).local_port] = f;
+      }
+      settle(6);
+    }
+    b.tcp().set_accept_hook(nullptr);
+    const auto established = static_cast<double>(
+        std::count_if(b_pcb.begin(), b_pcb.end(),
+                      [](stack::PcbId id) { return id != stack::kNoPcb; }));
+
+    // Zipf traffic: each segment carries its flow, so a segment read from
+    // the wrong socket is caught.
+    const stack::TcpLayerStats before = b.tcp().tcp_stats();
+    traffic::ZipfFlows zipf(conns, 1.0, 0x9cb5);
+    std::uint64_t delivered = 0;
+    std::uint64_t scan_visits = 0;
+    std::vector<std::uint32_t> touched;
+    std::uint8_t record[4];
+    std::vector<std::uint8_t> buf(4096);
+    for (std::uint32_t s = 0; s < kSegments; ++s) {
+      const std::uint32_t f = zipf.next();
+      store_be32(record, f);
+      if (!a.tcp().send(a_conn[f], record)) continue;
+      touched.push_back(f);
+      if (f != cached) scan_visits += b_pcb[f] + 1;  // a miss
+      cached = f;
+      if (touched.size() < kBurst && s + 1 < kSegments) continue;
+      settle(2);
+      for (const std::uint32_t t : touched) {
+        if (b_pcb[t] == stack::kNoPcb) continue;
+        std::size_t n;
+        while ((n = b.sockets().read(b.tcp().socket_of(b_pcb[t]), buf)) != 0)
+          for (std::size_t off = 0; off + 4 <= n; off += 4)
+            delivered += load_be32(buf.data() + off) == t;
+      }
+      touched.clear();
+    }
+
+    const stack::TcpLayerStats& after = b.tcp().tcp_stats();
+    const auto hits =
+        static_cast<double>(after.pcb_cache_hits - before.pcb_cache_hits);
+    const auto misses =
+        static_cast<double>(after.pcb_cache_misses - before.pcb_cache_misses);
+    const auto probes =
+        static_cast<double>(after.pcb_table_probes - before.pcb_table_probes);
+    const std::string key = "@" + std::to_string(conns);
+    result.set_metric("established" + key, established);
+    result.set_metric("probes_per_lookup" + key,
+                      misses > 0 ? probes / misses : 0.0);
+    result.set_metric("scan_visits_per_lookup" + key,
+                      misses > 0 ? static_cast<double>(scan_visits) / misses
+                                 : 0.0);
+    result.set_metric("cache_hit_ratio" + key, hits / (hits + misses));
+    result.set_metric("delivered" + key, static_cast<double>(delivered));
+  }
+  return result;
+}
+
 struct GateCase {
   const char* name;
   obs::BenchResult (*run)();
@@ -514,6 +628,7 @@ inline std::vector<GateCase> suite() {
       {"gate_tail_rpc", &gate_tail_rpc},
       {"gate_timer_wheel", &gate_timer_wheel},
       {"gate_pipeline", &gate_pipeline},
+      {"gate_pcb_demux", &gate_pcb_demux},
   };
 }
 

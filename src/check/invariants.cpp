@@ -31,6 +31,7 @@ void HostAuditor::audit_tcp() {
   using stack::TcpState;
 
   stack::TcpLayer& tcp = host_.tcp();
+  std::size_t matchable = 0;
   for (std::uint32_t id = 0; id < tcp.pcb_count(); ++id) {
     const stack::TcpPcb& p = tcp.pcb_view(id);
     PcbTrack& track = tracks_[id];
@@ -42,6 +43,16 @@ void HostAuditor::audit_tcp() {
     const std::string who =
         label_ + " pcb " + std::to_string(id) + " (" +
         std::string(tcp_state_name(p.state)) + ")";
+
+    // The demux table must find this connection at this id; this scan
+    // over every PCB is the reference.
+    ++matchable;
+    const std::uint32_t found =
+        tcp.lookup(p.remote_ip, p.remote_port, p.local_ip, p.local_port);
+    if (found != id)
+      violation(who + ": demux table finds its 4-tuple at " +
+                (found == stack::kNoPcb ? std::string("no pcb")
+                                        : "pcb " + std::to_string(found)));
 
     // Sequence pointers must never cross: snd_una <= snd_nxt <= snd_max.
     if (!seq_leq(p.snd_una, p.snd_nxt))
@@ -118,6 +129,11 @@ void HostAuditor::audit_tcp() {
     track.rcv_nxt = p.rcv_nxt;
     track.snd_una = p.snd_una;
   }
+  // ...and hold nothing else: no entry outlives its connection.
+  if (tcp.pcb_table_size() != matchable)
+    violation(label_ + ": demux table holds " +
+              std::to_string(tcp.pcb_table_size()) + " entries for " +
+              std::to_string(matchable) + " connections");
 }
 
 void HostAuditor::audit_reassembly() {

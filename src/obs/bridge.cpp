@@ -165,6 +165,7 @@ void publish_host(Registry& registry, stack::Host& host,
   set_counter(registry, join(p, "tcp.no_pcb"), ts.no_pcb);
   set_counter(registry, join(p, "tcp.pcb_cache_hits"), ts.pcb_cache_hits);
   set_counter(registry, join(p, "tcp.pcb_cache_misses"), ts.pcb_cache_misses);
+  set_counter(registry, join(p, "tcp.pcb_table_probes"), ts.pcb_table_probes);
   set_counter(registry, join(p, "tcp.rsts_sent"), ts.rsts_sent);
   set_counter(registry, join(p, "tcp.rsts_ignored"), ts.rsts_ignored);
   set_counter(registry, join(p, "tcp.time_wait_reuses"), ts.time_wait_reuses);

@@ -23,6 +23,12 @@ namespace {
 /// one wheel tick, matching the every-pass retry the legacy scan gave.
 constexpr double kPoolRetrySec = 1e-3;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint16_t kEphemeralLo = 49152;
+constexpr std::uint32_t kEphemeralPorts = 65536 - kEphemeralLo;
+
+[[nodiscard]] PcbKey key_of(const TcpPcb& p) noexcept {
+  return {p.remote_ip, p.local_ip, p.remote_port, p.local_port};
+}
 }  // namespace
 
 TcpLayer::TcpLayer(Ip4Layer& ip, SocketLayer& sockets, TcpConfig config)
@@ -39,18 +45,20 @@ const TcpPcb& TcpLayer::pcb(PcbId id) const {
 }
 
 PcbId TcpLayer::alloc_pcb() {
-  for (PcbId id = 0; id < pcbs_.size(); ++id) {
-    if (pcbs_[id]->is_free()) {
-      // A freed slot should have synced its wheel timer away; cancel
-      // defensively so a stale callback can never fire for the tenant.
-      if (wheel_ != nullptr && pcbs_[id]->wheel_timer != time::kNoTimer)
-        wheel_->cancel(pcbs_[id]->wheel_timer);
-      *pcbs_[id] = TcpPcb{};
-      return id;
-    }
+  if (free_ids_.empty()) {
+    pcbs_.push_back(std::make_unique<TcpPcb>());
+    return static_cast<PcbId>(pcbs_.size() - 1);
   }
-  pcbs_.push_back(std::make_unique<TcpPcb>());
-  return static_cast<PcbId>(pcbs_.size() - 1);
+  const PcbId id = free_ids_.top();
+  free_ids_.pop();
+  TcpPcb& p = pcb(id);
+  LDLP_DASSERT(p.is_free());
+  // A freed slot should have synced its wheel timer away; cancel
+  // defensively so a stale callback can never fire for the tenant.
+  if (wheel_ != nullptr && p.wheel_timer != time::kNoTimer)
+    wheel_->cancel(p.wheel_timer);
+  p = TcpPcb{};
+  return id;
 }
 
 std::uint32_t TcpLayer::next_iss() noexcept {
@@ -64,6 +72,7 @@ PcbId TcpLayer::listen(std::uint16_t port) {
   p.state = TcpState::kListen;
   p.local_ip = ip_.ip_addr();
   p.local_port = port;
+  listeners_.emplace_back(port, id);
   return id;
 }
 
@@ -73,10 +82,18 @@ PcbId TcpLayer::connect(std::uint32_t dst_ip, std::uint16_t dst_port) {
   TcpPcb& p = pcb(id);
   p.state = TcpState::kSynSent;
   p.local_ip = ip_.ip_addr();
-  p.local_port = next_ephemeral_++;
-  if (next_ephemeral_ == 0) next_ephemeral_ = 49152;
   p.remote_ip = dst_ip;
   p.remote_port = dst_port;
+  // Skip any ephemeral port whose 4-tuple is still live: after the port
+  // space wraps, reusing one would alias two connections (4.4BSD
+  // in_pcbbind).
+  for (std::uint32_t tries = 0;; ++tries) {
+    LDLP_ASSERT_MSG(tries < kEphemeralPorts, "ephemeral ports exhausted");
+    p.local_port = next_ephemeral_++;
+    if (next_ephemeral_ == 0) next_ephemeral_ = kEphemeralLo;
+    if (table_.find(key_of(p)).id == kNoPcb) break;
+  }
+  table_.insert(key_of(p), id);
   p.iss = next_iss();
   p.snd_una = p.iss;
   p.snd_nxt = p.iss;
@@ -119,8 +136,7 @@ void TcpLayer::close(PcbId id) {
       cancel_timers(p);
       p.rtx.clear();
       p.send_buffer.clear();
-      p.state = TcpState::kClosed;
-      if (last_pcb_ == id) last_pcb_ = kNoPcb;
+      enter_closed(id);
       break;
     case TcpState::kSynReceived:
     case TcpState::kEstablished:
@@ -160,20 +176,22 @@ PcbId TcpLayer::demux(std::uint32_t src_ip, std::uint16_t src_port,
     return last_pcb_;
   }
   ++stats_.pcb_cache_misses;
-  for (PcbId id = 0; id < pcbs_.size(); ++id) {
-    if (pcbs_[id]->matches(src_ip, src_port, dst_ip, dst_port)) {
-      last_pcb_ = id;
-      return id;
-    }
+  const PcbTable::Hit hit = table_.find({src_ip, dst_ip, src_port, dst_port});
+  stats_.pcb_table_probes += hit.probes;
+  if (hit.id != kNoPcb) {
+    LDLP_DASSERT(pcb(hit.id).matches(src_ip, src_port, dst_ip, dst_port));
+    last_pcb_ = hit.id;
+    return hit.id;
   }
   // Fall back to a listener on the destination port.
-  for (PcbId id = 0; id < pcbs_.size(); ++id) {
-    if (pcbs_[id]->state == TcpState::kListen &&
-        pcbs_[id]->local_port == dst_port) {
-      return id;
-    }
-  }
-  return kNoPcb;
+  return listener(dst_port);
+}
+
+PcbId TcpLayer::listener(std::uint16_t port) const noexcept {
+  PcbId lowest = kNoPcb;
+  for (const auto& [lport, id] : listeners_)
+    if (lport == port) lowest = std::min(lowest, id);
+  return lowest;
 }
 
 std::uint16_t TcpLayer::advertised_window(const TcpPcb& p) const {
@@ -248,15 +266,11 @@ void TcpLayer::process(core::Message msg) {
   if (pcb(id).state == TcpState::kTimeWait && header->has(kSyn) &&
       !header->has(kAck) && !header->has(kRst) &&
       seq_gt(header->seq, pcb(id).rcv_nxt)) {
-    const std::uint16_t port = pcb(id).local_port;
-    for (PcbId lid = 0; lid < pcbs_.size(); ++lid) {
-      if (pcbs_[lid]->state == TcpState::kListen &&
-          pcbs_[lid]->local_port == port) {
-        ++stats_.time_wait_reuses;
-        reset_connection(id);
-        id = lid;
-        break;
-      }
+    const PcbId lid = listener(pcb(id).local_port);
+    if (lid != kNoPcb) {
+      ++stats_.time_wait_reuses;
+      reset_connection(id);
+      id = lid;
     }
   }
 
@@ -295,6 +309,7 @@ void TcpLayer::process(core::Message msg) {
     child.rto_sec = cfg_.rto_initial_sec;
     child.last_rcv_time = now();
     child.socket = sockets_.create(SocketKind::kStream);
+    table_.insert(key_of(child), child_id);
     send_segment(child_id, static_cast<std::uint8_t>(kSyn | kAck), {},
                  /*retransmission=*/false);
     sync_wheel(child_id);  // the guard tracks the listener, not the child
@@ -440,7 +455,7 @@ void TcpLayer::process(core::Message msg) {
       case TcpState::kFinWait1: p.state = TcpState::kFinWait2; break;
       case TcpState::kClosing: enter_time_wait(id); break;
       case TcpState::kLastAck:
-        p.state = TcpState::kClosed;
+        enter_closed(id);
         return;
       default: break;
     }
@@ -744,8 +759,7 @@ void TcpLayer::enter_time_wait(PcbId id) {
 void TcpLayer::reset_connection(PcbId id) {
   TcpPcb& p = pcb(id);
   if (p.state != TcpState::kClosed) ++stats_.conns_reset;
-  if (last_pcb_ == id) last_pcb_ = kNoPcb;
-  p.state = TcpState::kClosed;
+  enter_closed(id);
   p.rtx.clear();
   p.send_buffer.clear();
   p.ooo.clear();
@@ -758,18 +772,34 @@ void TcpLayer::reset_connection(PcbId id) {
   sync_wheel(id);  // slot reusable: the wheel must forget it now
 }
 
+void TcpLayer::enter_closed(PcbId id) {
+  TcpPcb& p = pcb(id);
+  if (p.state == TcpState::kClosed) return;
+  if (p.state == TcpState::kListen) {
+    std::erase(listeners_, std::pair{p.local_port, id});
+  } else {
+    const bool erased = table_.erase(key_of(p));
+    LDLP_DASSERT(erased);
+    (void)erased;
+  }
+  if (last_pcb_ == id) last_pcb_ = kNoPcb;
+  p.state = TcpState::kClosed;
+  free_ids_.push(id);
+}
+
 void TcpLayer::crash() {
   // No RSTs, no state transitions observable on the wire: the machine
   // simply stops existing mid-thought. Each slot is reinitialised so
   // alloc_pcb() can hand it out fresh after the reboot. Wheel timers are
   // software, not protocol state — cancel them or they would fire into
   // the wiped PCBs.
-  for (auto& p : pcbs_) {
-    if (wheel_ != nullptr && p->wheel_timer != time::kNoTimer)
-      wheel_->cancel(p->wheel_timer);
-    *p = TcpPcb{};
+  for (PcbId id = 0; id < pcbs_.size(); ++id) {
+    enter_closed(id);
+    TcpPcb& p = pcb(id);
+    if (wheel_ != nullptr && p.wheel_timer != time::kNoTimer)
+      wheel_->cancel(p.wheel_timer);
+    p = TcpPcb{};
   }
-  last_pcb_ = kNoPcb;
 }
 
 void TcpLayer::on_timer() {
@@ -789,10 +819,7 @@ void TcpLayer::pcb_timer(PcbId id) {
     case TcpState::kListen:
       return;
     case TcpState::kTimeWait:
-      if (t >= p.time_wait_deadline) {
-        if (last_pcb_ == id) last_pcb_ = kNoPcb;
-        p.state = TcpState::kClosed;
-      }
+      if (t >= p.time_wait_deadline) enter_closed(id);
       return;
     default:
       break;

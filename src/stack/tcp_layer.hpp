@@ -1,23 +1,23 @@
-// TCP layer: demultiplexing (with the single-entry PCB cache the paper's
-// trace exercises), input state machine with header-prediction fast path,
-// output/segmentation, and timers.
+// TCP layer: demultiplexing (the single-entry PCB cache the paper's trace
+// exercises, over an O(1) 4-tuple table), input state machine with
+// header-prediction fast path, output/segmentation, and timers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/stack_graph.hpp"
 #include "stack/ip_layer.hpp"
+#include "stack/pcb_table.hpp"
 #include "stack/socket_layer.hpp"
 #include "stack/tcp_pcb.hpp"
 #include "time/timer_wheel.hpp"
 
 namespace ldlp::stack {
-
-using PcbId = std::uint32_t;
-inline constexpr PcbId kNoPcb = ~PcbId{0};
 
 struct TcpLayerStats {
   std::uint64_t segs_in = 0;
@@ -26,6 +26,7 @@ struct TcpLayerStats {
   std::uint64_t no_pcb = 0;          ///< RST sent / segment dropped.
   std::uint64_t pcb_cache_hits = 0;  ///< Single-entry cache (paper §2, Table 2).
   std::uint64_t pcb_cache_misses = 0;
+  std::uint64_t pcb_table_probes = 0;  ///< Table slots read on cache misses.
   std::uint64_t rsts_sent = 0;
   std::uint64_t conns_established = 0;
   std::uint64_t conns_reset = 0;
@@ -109,6 +110,18 @@ class TcpLayer final : public core::Layer {
   }
   [[nodiscard]] std::size_t pcb_count() const noexcept { return pcbs_.size(); }
 
+  /// The 4-tuple table alone (no cache, no listener fallback, no stats):
+  /// the connection whose remote end is src and local end is dst, or
+  /// kNoPcb. Holds exactly the PCBs that are neither CLOSED nor LISTEN.
+  [[nodiscard]] PcbId lookup(std::uint32_t src_ip, std::uint16_t src_port,
+                             std::uint32_t dst_ip,
+                             std::uint16_t dst_port) const noexcept {
+    return table_.find({src_ip, dst_ip, src_port, dst_port}).id;
+  }
+  [[nodiscard]] std::size_t pcb_table_size() const noexcept {
+    return table_.size();
+  }
+
  protected:
   void process(core::Message msg) override;
 
@@ -121,6 +134,8 @@ class TcpLayer final : public core::Layer {
   [[nodiscard]] PcbId alloc_pcb();
   [[nodiscard]] PcbId demux(std::uint32_t src_ip, std::uint16_t src_port,
                             std::uint32_t dst_ip, std::uint16_t dst_port);
+  /// Lowest-id listener on `port`, or kNoPcb.
+  [[nodiscard]] PcbId listener(std::uint16_t port) const noexcept;
 
   /// Transmit a segment: flags + up to `payload_len` bytes taken from the
   /// send buffer at snd_nxt. Handles rtx queueing. Returns false when the
@@ -139,6 +154,9 @@ class TcpLayer final : public core::Layer {
                 std::uint32_t seq, std::uint32_t ack, bool with_ack);
   void enter_established(PcbId id);
   void enter_time_wait(PcbId id);
+  /// Every transition to CLOSED: drop the PCB from the 4-tuple table (or
+  /// the listener list), from the single-entry cache, and free its id.
+  void enter_closed(PcbId id);
   /// Earliest pending deadline of `p` (+inf if none) and its class.
   [[nodiscard]] std::pair<double, time::TimerClass> earliest_deadline(
       const TcpPcb& p) const;
@@ -174,6 +192,11 @@ class TcpLayer final : public core::Layer {
   time::TimerWheel* wheel_ = nullptr;
   std::vector<std::unique_ptr<TcpPcb>> pcbs_;
   PcbId last_pcb_ = kNoPcb;  ///< Single-entry PCB cache.
+  PcbTable table_;           ///< Every PCB neither CLOSED nor LISTEN.
+  std::vector<std::pair<std::uint16_t, PcbId>> listeners_;  ///< (port, id)
+  /// CLOSED ids, lowest on top: alloc_pcb reuses the lowest free id, the
+  /// rule recorded traces, soak verdicts and shrunk schedules depend on.
+  std::priority_queue<PcbId, std::vector<PcbId>, std::greater<>> free_ids_;
   std::uint16_t next_ephemeral_ = 49152;
   std::uint32_t iss_counter_ = 0x1000;
   std::function<void(PcbId)> accept_hook_;

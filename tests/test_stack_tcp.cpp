@@ -1,17 +1,27 @@
 // TCP behaviour tests: handshake, data transfer, header-prediction fast
 // path, delayed ACKs, loss recovery, out-of-order buffering, orderly and
-// abortive close, PCB demux cache.
+// abortive close, PCB demux (single-entry cache over the 4-tuple table),
+// PCB id allocation and ephemeral ports.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "stack/host.hpp"
 
 namespace ldlp::stack {
 namespace {
 
 using wire::ip_from_parts;
+
+const std::uint32_t kServerIp = ip_from_parts(10, 0, 0, 2);
+
+std::vector<std::uint8_t> bytes_of(const std::string& s) {
+  return {s.begin(), s.end()};
+}
 
 struct TcpPair {
   std::unique_ptr<Host> client;
@@ -60,6 +70,38 @@ struct TcpPair {
            server->tcp().state(accepted) == TcpState::kEstablished;
   }
 
+  /// Active open from exactly local port `port`: turn the client's
+  /// ephemeral port counter round with connects the server never hears
+  /// (each closed again from SYN_SENT), then open for real.
+  PcbId connect_from(std::uint16_t port, std::uint16_t dst_port = 80) {
+    const std::uint16_t before = port == 49152 ? 65535 : port - 1;
+    server->device().set_loss(1.0);
+    for (;;) {
+      const PcbId id = client->tcp().connect(kServerIp, dst_port);
+      const std::uint16_t got = client->tcp().pcb_view(id).local_port;
+      client->tcp().close(id);
+      if (got == before) break;
+    }
+    server->device().set_loss(0.0);
+    return client->tcp().connect(kServerIp, dst_port);
+  }
+
+  /// A few bytes each way over (conn, accepted) reach those PCBs' sockets.
+  bool exchange() {
+    const auto ping = bytes_of("ping");
+    const auto pong = bytes_of("pong!");
+    if (!client->tcp().send(conn, ping) || !server->tcp().send(accepted, pong))
+      return false;
+    settle();
+    std::vector<std::uint8_t> at_server(64);
+    std::vector<std::uint8_t> at_client(64);
+    at_server.resize(
+        server->sockets().read(server->tcp().socket_of(accepted), at_server));
+    at_client.resize(
+        client->sockets().read(client->tcp().socket_of(conn), at_client));
+    return at_server == ping && at_client == pong;
+  }
+
   std::vector<std::uint8_t> drain_server_socket(std::size_t n) {
     std::vector<std::uint8_t> out(n);
     const std::size_t got =
@@ -69,9 +111,6 @@ struct TcpPair {
   }
 };
 
-std::vector<std::uint8_t> bytes_of(const std::string& s) {
-  return {s.begin(), s.end()};
-}
 
 TEST(TcpHandshake, ThreeWayEstablishes) {
   TcpPair net;
@@ -397,6 +436,277 @@ TEST(TcpClose, CloseFromSynSentCancelsTimers) {
   const auto arp_retries = net.client->eth().arp().stats().retries - arp_before;
   EXPECT_EQ(net.client->device().stats().tx_frames, tx_before + arp_retries);
   EXPECT_EQ(net.client->eth().arp().stats().resolve_failures, 1u);
+}
+
+// ---- PCB demux table --------------------------------------------------
+
+TEST(PcbTable, MatchesReferenceMapUnderChurn) {
+  // 300 keys toggled in and out at random: clusters form, grow and are
+  // cut by backward-shift deletes; every key must stay findable exactly
+  // while it is present.
+  std::vector<PcbKey> keys;
+  for (std::uint32_t i = 0; i < 300; ++i)
+    keys.push_back({ip_from_parts(10, 0, 0, 1 + i % 5), kServerIp,
+                    static_cast<std::uint16_t>(1024 + i), 80});
+  std::vector<PcbId> present(keys.size(), kNoPcb);
+  PcbTable table;
+  EXPECT_EQ(table.find(keys[0]).probes, 0u);  // empty: nothing to read
+  Rng rng(0x7ab1e);
+  std::size_t live = 0;
+  for (PcbId op = 0; op < 30000; ++op) {
+    const std::size_t k = rng.bounded(keys.size());
+    if (present[k] == kNoPcb) {
+      table.insert(keys[k], op);
+      present[k] = op;
+      ++live;
+    } else {
+      ASSERT_TRUE(table.erase(keys[k]));
+      present[k] = kNoPcb;
+      --live;
+    }
+    ASSERT_EQ(table.size(), live);
+    ASSERT_LE(2 * table.size(), table.capacity());
+    if (op % 97 != 0) continue;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const PcbTable::Hit hit = table.find(keys[i]);
+      ASSERT_EQ(hit.id, present[i]) << "op " << op << " key " << i;
+      ASSERT_GE(hit.probes, 1u);
+    }
+  }
+  EXPECT_EQ(table.capacity() & (table.capacity() - 1), 0u);
+  const PcbKey stranger{1, 2, 3, 4};
+  EXPECT_EQ(table.find(stranger).id, kNoPcb);
+  EXPECT_FALSE(table.erase(stranger));
+}
+
+TEST(TcpDemux, TableCountsProbesOnCacheMissesOnly) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  const PcbId second = net.client->tcp().connect(kServerIp, 80);
+  net.settle();
+  ASSERT_EQ(net.client->tcp().state(second), TcpState::kEstablished);
+  // Alternate the two connections: every segment misses the one-entry
+  // cache and costs at least one table probe.
+  const TcpLayerStats before = net.server->tcp().tcp_stats();
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(net.client->tcp().send(i % 2 == 0 ? net.conn : second,
+                                       bytes_of("x")));
+    net.settle(1);
+  }
+  const TcpLayerStats& after = net.server->tcp().tcp_stats();
+  const std::uint64_t misses = after.pcb_cache_misses - before.pcb_cache_misses;
+  EXPECT_EQ(after.pcb_cache_hits, before.pcb_cache_hits);
+  EXPECT_EQ(misses, 8u);
+  EXPECT_GE(after.pcb_table_probes - before.pcb_table_probes, misses);
+  EXPECT_EQ(net.server->tcp().pcb_table_size(), 2u);
+}
+
+TEST(TcpAlloc, IdsFollowTheLowestFreeRule) {
+  // The scan alloc_pcb replaced handed out the lowest CLOSED id, else a
+  // new one. Churn every allocation and release path on both hosts and
+  // check each id handed out against that rule.
+  TcpPair net;
+  const auto lowest_free = [](const TcpLayer& tcp) {
+    for (PcbId id = 0; id < tcp.pcb_count(); ++id)
+      if (tcp.state(id) == TcpState::kClosed) return id;
+    return static_cast<PcbId>(tcp.pcb_count());
+  };
+  (void)net.server->tcp().listen(80);
+  std::vector<PcbId> open;  // client ids, established
+  Rng rng(0xa110c);
+  for (int step = 0; step < 600; ++step) {
+    TcpLayer& client = net.client->tcp();
+    TcpLayer& server = net.server->tcp();
+    switch (rng.bounded(6)) {
+      case 0:
+      case 1: {  // full handshake: one id on each side
+        const PcbId want_client = lowest_free(client);
+        const PcbId want_server = lowest_free(server);
+        net.accepted = kNoPcb;
+        const PcbId id = client.connect(kServerIp, 80);
+        ASSERT_EQ(id, want_client) << "step " << step;
+        net.settle();
+        ASSERT_EQ(net.accepted, want_server) << "step " << step;
+        open.push_back(id);
+        break;
+      }
+      case 2: {  // SYN_SENT close: the server never hears it
+        net.server->device().set_loss(1.0);
+        const PcbId want = lowest_free(client);
+        const PcbId id = client.connect(kServerIp, 80);
+        ASSERT_EQ(id, want) << "step " << step;
+        client.close(id);
+        net.server->device().set_loss(0.0);
+        break;
+      }
+      case 3:  // abort: RST resets both ends
+        if (!open.empty()) {
+          const std::size_t k = rng.bounded(open.size());
+          client.abort(open[k]);
+          open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+          net.settle();
+        }
+        break;
+      case 4: {  // listen and close a listener
+        const PcbId want = lowest_free(server);
+        const PcbId id = server.listen(static_cast<std::uint16_t>(1000 + step));
+        ASSERT_EQ(id, want) << "step " << step;
+        if (rng.bounded(2) == 0) server.close(id);
+        break;
+      }
+      default:  // orderly close through TIME_WAIT and LAST_ACK
+        if (!open.empty()) {
+          const std::size_t k = rng.bounded(open.size());
+          const PcbId id = open[k];
+          open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+          const TcpPcb& p = client.pcb_view(id);
+          const PcbId peer =
+              server.lookup(p.local_ip, p.local_port, p.remote_ip,
+                            p.remote_port);
+          ASSERT_NE(peer, kNoPcb);
+          client.close(id);
+          net.settle();
+          server.close(peer);
+          net.settle();
+          net.tick(1.1);  // past time_wait_sec
+          ASSERT_EQ(client.state(id), TcpState::kClosed);
+          ASSERT_EQ(server.state(peer), TcpState::kClosed);
+        }
+        break;
+    }
+  }
+  // A crash frees every id at once: allocation restarts from zero.
+  net.server->restart();
+  EXPECT_EQ(net.server->tcp().listen(80), 0u);
+  EXPECT_EQ(net.server->tcp().listen(81), 1u);
+}
+
+// Each transition to CLOSED must drop the 4-tuple from the demux table:
+// reopening the same tuple then reaches the new PCB and socket.
+
+TEST(TcpReopen, AfterCloseFromListen) {
+  TcpPair net;
+  const PcbId old_listener = net.server->tcp().listen(80);
+  net.server->tcp().close(old_listener);
+  const PcbId refused = net.client->tcp().connect(kServerIp, 80);
+  net.settle();
+  EXPECT_EQ(net.client->tcp().state(refused), TcpState::kClosed);  // RST
+  EXPECT_EQ(net.server->tcp().tcp_stats().no_pcb, 1u);
+  ASSERT_TRUE(net.establish());
+  EXPECT_TRUE(net.exchange());
+}
+
+TEST(TcpReopen, AfterCloseFromSynSent) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish(81));  // resolves ARP
+  (void)net.server->tcp().listen(80);
+  net.server->device().set_loss(1.0);
+  const PcbId first = net.client->tcp().connect(kServerIp, 80);
+  const std::uint16_t port = net.client->tcp().pcb_view(first).local_port;
+  net.settle();
+  net.client->tcp().close(first);
+  EXPECT_EQ(net.client->tcp().pcb_table_size(), 1u);  // the port-81 one
+  net.server->device().set_loss(0.0);
+  net.conn = net.connect_from(port);
+  ASSERT_EQ(net.client->tcp().pcb_view(net.conn).local_port, port);
+  net.settle();
+  ASSERT_EQ(net.client->tcp().state(net.conn), TcpState::kEstablished);
+  EXPECT_TRUE(net.exchange());
+}
+
+TEST(TcpReopen, AfterResetConnection) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  const std::uint16_t port = net.client->tcp().pcb_view(net.conn).local_port;
+  const PcbId old_child = net.accepted;
+  net.client->tcp().abort(net.conn);
+  net.settle();
+  ASSERT_EQ(net.server->tcp().state(old_child), TcpState::kClosed);
+  EXPECT_EQ(net.server->tcp().pcb_table_size(), 0u);
+  EXPECT_EQ(net.client->tcp().pcb_table_size(), 0u);
+  net.conn = net.connect_from(port);
+  net.settle();
+  ASSERT_EQ(net.server->tcp().state(net.accepted), TcpState::kEstablished);
+  EXPECT_EQ(net.server->tcp().pcb_view(net.accepted).remote_port, port);
+  EXPECT_TRUE(net.exchange());
+}
+
+TEST(TcpReopen, AfterTimeWaitExpiryAndLastAck) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  const std::uint16_t port = net.client->tcp().pcb_view(net.conn).local_port;
+  const PcbId old_conn = net.conn;
+  const PcbId old_child = net.accepted;
+  net.client->tcp().close(net.conn);  // client: FIN_WAIT -> TIME_WAIT
+  net.settle();
+  net.server->tcp().close(net.accepted);  // server: LAST_ACK -> CLOSED
+  net.settle();
+  ASSERT_EQ(net.client->tcp().state(old_conn), TcpState::kTimeWait);
+  ASSERT_EQ(net.server->tcp().state(old_child), TcpState::kClosed);
+  EXPECT_EQ(net.server->tcp().pcb_table_size(), 0u);
+  EXPECT_EQ(net.client->tcp().pcb_table_size(), 1u);
+  net.tick(1.1);  // past time_wait_sec
+  ASSERT_EQ(net.client->tcp().state(old_conn), TcpState::kClosed);
+  EXPECT_EQ(net.client->tcp().pcb_table_size(), 0u);
+  net.conn = net.connect_from(port);
+  net.settle();
+  ASSERT_EQ(net.client->tcp().state(net.conn), TcpState::kEstablished);
+  ASSERT_EQ(net.server->tcp().state(net.accepted), TcpState::kEstablished);
+  EXPECT_TRUE(net.exchange());
+}
+
+TEST(TcpReopen, AfterCrash) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  const std::uint16_t port = net.client->tcp().pcb_view(net.conn).local_port;
+  net.server->restart();
+  EXPECT_EQ(net.server->tcp().pcb_table_size(), 0u);
+  net.client->tcp().abort(net.conn);  // the RST finds no PCB at the server
+  net.settle();
+  (void)net.server->tcp().listen(80);
+  net.conn = net.connect_from(port);
+  net.settle();
+  ASSERT_EQ(net.server->tcp().state(net.accepted), TcpState::kEstablished);
+  EXPECT_TRUE(net.exchange());
+  EXPECT_EQ(net.server->tcp().pcb_table_size(), 1u);
+}
+
+TEST(TcpEphemeral, WrapSkipsLiveTuples) {
+  // More than 16,384 connects to one peer: the port counter wraps past
+  // connections that are still open, and must step over their ports.
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  std::set<std::uint16_t> live_ports{
+      net.client->tcp().pcb_view(net.conn).local_port};
+  std::vector<PcbId> live{net.conn};
+  net.server->device().set_loss(1.0);
+  for (int i = 0; i < 16384 + 64; ++i) {
+    const PcbId id = net.client->tcp().connect(kServerIp, 80);
+    const std::uint16_t port = net.client->tcp().pcb_view(id).local_port;
+    ASSERT_EQ(live_ports.count(port), 0u) << "connect " << i;
+    if (i % 1000 == 0) {  // keep some open, in SYN_SENT
+      live_ports.insert(port);
+      live.push_back(id);
+    } else {
+      net.client->tcp().close(id);
+    }
+  }
+  net.server->device().set_loss(0.0);
+  std::set<std::tuple<std::uint32_t, std::uint16_t, std::uint16_t>> tuples;
+  std::size_t matchable = 0;
+  const TcpLayer& tcp = net.client->tcp();
+  for (PcbId id = 0; id < tcp.pcb_count(); ++id) {
+    const TcpPcb& p = tcp.pcb_view(id);
+    if (p.state == TcpState::kClosed || p.state == TcpState::kListen) continue;
+    ++matchable;
+    EXPECT_TRUE(tuples.insert({p.remote_ip, p.remote_port, p.local_port}).second)
+        << "pcb " << id << " shares a 4-tuple";
+    EXPECT_EQ(tcp.lookup(p.remote_ip, p.remote_port, p.local_ip, p.local_port),
+              id);
+  }
+  EXPECT_EQ(matchable, live.size());
+  EXPECT_EQ(tcp.pcb_table_size(), live.size());
+  EXPECT_TRUE(net.exchange());  // the first connection still works
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Unit tests for traffic generation: Poisson/deterministic/burst sources,
 // size models, self-similar generator (mean rate + burstiness), Hurst
-// estimation, trace save/load.
+// estimation, trace save/load, Zipf flow popularity.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "traffic/arrivals.hpp"
@@ -12,6 +14,7 @@
 #include "traffic/self_similar.hpp"
 #include "traffic/size_models.hpp"
 #include "traffic/trace_io.hpp"
+#include "traffic/zipf.hpp"
 
 namespace ldlp::traffic {
 namespace {
@@ -222,6 +225,40 @@ TEST(Collect, RespectsHorizonAndCount) {
   DeterministicSource source2(100.0, 64);
   const auto by_count = collect(source2, 1e9, 7);
   EXPECT_EQ(by_count.size(), 7u);
+}
+
+TEST(ZipfFlows, RankFrequenciesFollowTheSkew) {
+  // s = 1 over 64 flows: P(rank r) = 1 / ((r + 1) * H_64), H_64 ~ 4.7439.
+  constexpr std::uint32_t kFlows = 64;
+  constexpr int kDraws = 200000;
+  ZipfFlows zipf(kFlows, 1.0, 7);
+  std::vector<int> count(kFlows, 0);
+  for (int i = 0; i < kDraws; ++i) {
+    const std::uint32_t r = zipf.next();
+    ASSERT_LT(r, kFlows);
+    ++count[r];
+  }
+  double harmonic = 0.0;
+  for (std::uint32_t r = 1; r <= kFlows; ++r) harmonic += 1.0 / r;
+  for (const std::uint32_t r : {0u, 1u, 9u}) {
+    const double expect = kDraws / ((r + 1) * harmonic);
+    EXPECT_NEAR(count[r], expect, 5.0 * std::sqrt(expect)) << "rank " << r;
+  }
+  EXPECT_GT(count[0], count[1]);
+  EXPECT_GT(count[1], count[63]);
+}
+
+TEST(ZipfFlows, UniformAtZeroSkewAndDeterministic) {
+  ZipfFlows uniform(4, 0.0, 3);
+  std::vector<int> count(4, 0);
+  for (int i = 0; i < 40000; ++i) ++count[uniform.next()];
+  for (const int c : count) EXPECT_NEAR(c, 10000, 500);
+
+  ZipfFlows a(1024, 1.0, 11);
+  ZipfFlows b(1024, 1.0, 11);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(a.next(), b.next());
+  ZipfFlows one(1, 1.0, 5);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(one.next(), 0u);
 }
 
 }  // namespace
