@@ -1,20 +1,41 @@
 #include "buf/pool.hpp"
 
+#include <memory>
+#include <new>
+#include <type_traits>
+
 #include "common/assert.hpp"
 
 namespace ldlp::buf {
 
-MbufPool::MbufPool(std::size_t mbuf_count, std::size_t cluster_count) {
-  LDLP_ASSERT(mbuf_count > 0);
-  mbuf_slab_ = std::unique_ptr<Mbuf[]>(new Mbuf[mbuf_count]);
-  mbuf_free_.reserve(mbuf_count);
-  for (std::size_t i = 0; i < mbuf_count; ++i)
-    mbuf_free_.push_back(&mbuf_slab_[mbuf_count - 1 - i]);
+template <typename T>
+MbufPool::Slab<T>::Slab(std::size_t capacity)
+    : base_(std::allocator<T>{}.allocate(capacity)), capacity_(capacity) {
+  free_.reserve(capacity);
+}
 
-  cluster_slab_ = std::unique_ptr<Cluster[]>(new Cluster[cluster_count]);
-  cluster_free_.reserve(cluster_count);
-  for (std::size_t i = 0; i < cluster_count; ++i)
-    cluster_free_.push_back(&cluster_slab_[cluster_count - 1 - i]);
+template <typename T>
+MbufPool::Slab<T>::~Slab() {
+  // Slots are never destroyed one by one; that is sound only while T
+  // has nothing to destroy.
+  static_assert(std::is_trivially_destructible_v<T>);
+  std::allocator<T>{}.deallocate(base_, capacity_);
+}
+
+template <typename T>
+T* MbufPool::Slab<T>::take() noexcept {
+  if (!free_.empty()) {
+    T* slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  if (used_ == capacity_) return nullptr;
+  return ::new (static_cast<void*>(base_ + used_++)) T;
+}
+
+MbufPool::MbufPool(std::size_t mbuf_count, std::size_t cluster_count)
+    : mbufs_(mbuf_count), clusters_(cluster_count) {
+  LDLP_ASSERT(mbuf_count > 0);
 }
 
 MbufPool::~MbufPool() {
@@ -23,12 +44,11 @@ MbufPool::~MbufPool() {
 }
 
 Mbuf* MbufPool::alloc(bool pkthdr) noexcept {
-  if (mbuf_free_.empty()) {
+  Mbuf* m = mbufs_.take();
+  if (m == nullptr) {
     ++stats_.alloc_failures;
     return nullptr;
   }
-  Mbuf* m = mbuf_free_.back();
-  mbuf_free_.pop_back();
   m->next_ = nullptr;
   m->nextpkt_ = nullptr;
   m->len_ = 0;
@@ -43,12 +63,11 @@ Mbuf* MbufPool::alloc(bool pkthdr) noexcept {
 
 bool MbufPool::add_cluster(Mbuf& m) noexcept {
   LDLP_DASSERT(m.len_ == 0 && m.cluster_ == nullptr);
-  if (cluster_free_.empty()) {
+  Cluster* c = clusters_.take();
+  if (c == nullptr) {
     ++stats_.alloc_failures;
     return false;
   }
-  Cluster* c = cluster_free_.back();
-  cluster_free_.pop_back();
   c->refs = 1;
   m.cluster_ = c;
   m.center_window();
@@ -68,7 +87,7 @@ void MbufPool::share_cluster(const Mbuf& from, Mbuf& to) noexcept {
 void MbufPool::release_cluster(Cluster* c) noexcept {
   LDLP_DASSERT(c->refs > 0);
   if (--c->refs == 0) {
-    cluster_free_.push_back(c);
+    clusters_.give(c);
     ++stats_.cluster_frees;
   }
 }
@@ -83,7 +102,7 @@ Mbuf* MbufPool::free_one(Mbuf* m) noexcept {
   m->next_ = nullptr;
   m->nextpkt_ = nullptr;
   m->pool_ = nullptr;
-  mbuf_free_.push_back(m);
+  mbufs_.give(m);
   ++stats_.mbuf_frees;
   return next;
 }

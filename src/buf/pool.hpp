@@ -3,11 +3,11 @@
 // Fixed-capacity slab allocator with O(1) freelists. Allocation failure is
 // reported, not thrown: a protocol stack under overload must shed packets,
 // not unwind. The pool tracks outstanding buffers so tests can assert
-// leak-freedom after every scenario.
+// leak-freedom after every scenario. Slab slots are constructed on first
+// hand-out, so a pool touches only the memory its traffic actually uses.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "buf/mbuf.hpp"
@@ -60,19 +60,45 @@ class MbufPool {
 
   [[nodiscard]] const PoolStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t mbufs_free() const noexcept {
-    return mbuf_free_.size();
+    return mbufs_.available();
   }
   [[nodiscard]] std::size_t clusters_free() const noexcept {
-    return cluster_free_.size();
+    return clusters_.available();
   }
 
  private:
+  /// Fixed storage for `capacity` Ts, handed out LIFO. A slot that was
+  /// never handed out stays raw memory until take() constructs it in
+  /// place; untouched slots go out in address order, and only after every
+  /// freed slot is reused. That is exactly the order a free list holding
+  /// the whole slab from the start would give.
+  template <typename T>
+  class Slab {
+   public:
+    explicit Slab(std::size_t capacity);
+    ~Slab();
+    Slab(const Slab&) = delete;
+    Slab& operator=(const Slab&) = delete;
+
+    /// The most recently freed slot, else the next untouched one, else
+    /// nullptr.
+    [[nodiscard]] T* take() noexcept;
+    void give(T* slot) noexcept { free_.push_back(slot); }
+    [[nodiscard]] std::size_t available() const noexcept {
+      return free_.size() + (capacity_ - used_);
+    }
+
+   private:
+    T* base_;
+    std::size_t capacity_;
+    std::size_t used_ = 0;   ///< Slots [0, used_) have been constructed.
+    std::vector<T*> free_;   ///< Reserved to capacity: give() never allocates.
+  };
+
   void release_cluster(Cluster* c) noexcept;
 
-  std::unique_ptr<Mbuf[]> mbuf_slab_;
-  std::unique_ptr<Cluster[]> cluster_slab_;
-  std::vector<Mbuf*> mbuf_free_;
-  std::vector<Cluster*> cluster_free_;
+  Slab<Mbuf> mbufs_;
+  Slab<Cluster> clusters_;
   PoolStats stats_;
 };
 

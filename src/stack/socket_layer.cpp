@@ -1,6 +1,7 @@
 #include "stack/socket_layer.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/assert.hpp"
 #include "stack/footprints.hpp"
@@ -47,35 +48,41 @@ void SocketLayer::process(core::Message msg) {
   LDLP_DASSERT(socket.kind == SocketKind::kStream);
 
   const std::uint32_t len = msg.packet.length();
-  if (socket.stream.size() + len > socket.hiwat) {
+  if (unread(socket) + len > socket.hiwat) {
     // TCP's advertised window normally prevents this, but under deferred
     // (LDLP) scheduling the window is computed while earlier segments
     // still sit in the tcp→socket queue, so a burst can land past hiwat.
-    // These bytes are already ACKed (rcv_nxt advanced in deliver_payload);
-    // dropping them here would tear an unrecoverable hole in the stream —
-    // the peer has cleared its rtx entry. Accept the transient overshoot
-    // (bounded by the advertised window) and count it.
+    // These bytes are already ACKed (rcv_nxt advanced in TcpLayer before
+    // the hand-off); dropping them here would tear an unrecoverable hole
+    // in the stream — the peer has cleared its rtx entry. Accept the
+    // transient overshoot (bounded by the advertised window) and count it.
     ++socket.stats.overflows;
   }
-  // sbappend: copy mbuf bytes into the socket buffer.
-  std::vector<std::uint8_t> bytes(len);
-  if (!msg.packet.copy_out(0, bytes)) return;
+  // sbappend: copy each mbuf of the chain into the socket buffer.
   trace_pkt(trace::RefKind::kRead, len);
-  socket.stream.insert(socket.stream.end(), bytes.begin(), bytes.end());
+  std::vector<std::uint8_t>& stream = socket.stream;
+  if (socket.stream_off != 0 && stream.size() + len > stream.capacity()) {
+    const auto consumed = static_cast<std::ptrdiff_t>(socket.stream_off);
+    stream.erase(stream.begin(), stream.begin() + consumed);
+    socket.stream_off = 0;
+  }
+  for (const buf::Mbuf* m = msg.packet.head(); m != nullptr; m = m->next()) {
+    if (m->len() == 0) continue;
+    stream.insert(stream.end(), m->data(), m->data() + m->len());
+    if (tap_ != nullptr) tap_->on_stream_append(id, m->bytes());
+  }
   socket.stats.appended_bytes += len;
-  if (tap_ != nullptr) tap_->on_stream_append(id, bytes);
   wake(socket, id);
 }
 
 void SocketLayer::deliver_datagram(SocketId id, Datagram dgram) {
   Socket& socket = sock(id);
   LDLP_DASSERT(socket.kind == SocketKind::kDatagram);
-  std::size_t queued = 0;
-  for (const Datagram& d : socket.dgrams) queued += d.payload.size();
-  if (queued + dgram.payload.size() > socket.hiwat) {
+  if (socket.dgram_bytes + dgram.payload.size() > socket.hiwat) {
     ++socket.stats.overflows;
     return;
   }
+  socket.dgram_bytes += dgram.payload.size();
   socket.stats.appended_bytes += dgram.payload.size();
   if (tap_ != nullptr) tap_->on_datagram(id, dgram);
   socket.dgrams.push_back(std::move(dgram));
@@ -88,10 +95,14 @@ std::size_t SocketLayer::read(SocketId id, std::span<std::uint8_t> dst) {
   trace_fn(Fn::kUiomove);
   trace_fn(Fn::kCopyout);
   Socket& socket = sock(id);
-  const std::size_t n = std::min(dst.size(), socket.stream.size());
-  std::copy_n(socket.stream.begin(), n, dst.begin());
-  socket.stream.erase(socket.stream.begin(),
-                      socket.stream.begin() + static_cast<std::ptrdiff_t>(n));
+  const std::size_t n = std::min(dst.size(), unread(socket));
+  if (n != 0)
+    std::memcpy(dst.data(), socket.stream.data() + socket.stream_off, n);
+  socket.stream_off += n;
+  if (socket.stream_off == socket.stream.size()) {
+    socket.stream.clear();
+    socket.stream_off = 0;
+  }
   socket.stats.read_bytes += n;
   return n;
 }
@@ -101,12 +112,13 @@ std::optional<Datagram> SocketLayer::read_datagram(SocketId id) {
   if (socket.dgrams.empty()) return std::nullopt;
   Datagram out = std::move(socket.dgrams.front());
   socket.dgrams.pop_front();
+  socket.dgram_bytes -= out.payload.size();
   socket.stats.read_bytes += out.payload.size();
   return out;
 }
 
 std::size_t SocketLayer::readable_bytes(SocketId id) const {
-  return sock(id).stream.size();
+  return unread(sock(id));
 }
 
 std::size_t SocketLayer::pending_datagrams(SocketId id) const {
@@ -119,7 +131,7 @@ const SocketStats& SocketLayer::socket_stats(SocketId id) const {
 
 std::size_t SocketLayer::room(SocketId id) const {
   const Socket& socket = sock(id);
-  return socket.hiwat - std::min(socket.hiwat, socket.stream.size());
+  return socket.hiwat - std::min(socket.hiwat, unread(socket));
 }
 
 }  // namespace ldlp::stack

@@ -3,8 +3,9 @@
 // The "socket low" half (sbappend/sowakeup in Table 1) runs as a Layer so
 // the scheduler treats it like every other layer; the "socket high" half
 // (soreceive/read) is the API the application calls. Stream sockets byte-
-// buffer (TCP); datagram sockets preserve message boundaries and sender
-// addresses (UDP).
+// buffer (TCP) in one flat buffer: sbappend copies each mbuf of the
+// delivered chain in, soreceive copies out with one memcpy. Datagram
+// sockets preserve message boundaries and sender addresses (UDP).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,8 @@ struct SocketStats {
 class SocketTap {
  public:
   virtual ~SocketTap() = default;
-  /// Stream bytes appended to `id`'s receive buffer (sbappend).
+  /// Stream bytes appended to `id`'s receive buffer (sbappend), once per
+  /// non-empty mbuf of the delivered chain.
   virtual void on_stream_append(SocketId id,
                                 std::span<const std::uint8_t> bytes) = 0;
   /// Datagram queued on `id` (about to wake the application).
@@ -88,7 +90,9 @@ class SocketLayer final : public core::Layer {
   void crash() {
     for (Socket& s : sockets_) {
       s.stream.clear();
+      s.stream_off = 0;
       s.dgrams.clear();
+      s.dgram_bytes = 0;
       s.wakeup = nullptr;
     }
   }
@@ -101,14 +105,22 @@ class SocketLayer final : public core::Layer {
   struct Socket {
     SocketKind kind = SocketKind::kStream;
     std::size_t hiwat = 0;
-    std::deque<std::uint8_t> stream;
+    /// Stream bytes; [stream_off, size) is unread. A read that drains the
+    /// buffer resets it; otherwise the consumed prefix is erased only when
+    /// an append would reallocate.
+    std::vector<std::uint8_t> stream;
+    std::size_t stream_off = 0;
     std::deque<Datagram> dgrams;
+    std::size_t dgram_bytes = 0;  ///< Payload bytes queued in dgrams.
     std::function<void(SocketId)> wakeup;
     SocketStats stats;
   };
 
   [[nodiscard]] Socket& sock(SocketId id);
   [[nodiscard]] const Socket& sock(SocketId id) const;
+  [[nodiscard]] static std::size_t unread(const Socket& socket) noexcept {
+    return socket.stream.size() - socket.stream_off;
+  }
   void wake(Socket& socket, SocketId id);
 
   std::vector<Socket> sockets_;

@@ -359,21 +359,8 @@ void TcpLayer::process(core::Message msg) {
     ++p.stats.fast_path;
     process_ack(id, header->ack, header->window);
     if (payload_len != 0) {
-      std::vector<std::uint8_t> bytes(payload_len);
-      if (!msg.packet.copy_out(header->header_len(), bytes)) return;
-      if (!deliver_payload(id, std::move(bytes))) return;  // rx pool dry
-      // Drain any out-of-order data this made contiguous. A failed
-      // delivery keeps the entry for the retransmission to land on.
-      auto it = p.ooo.begin();
-      while (it != p.ooo.end() && seq_leq(it->first, p.rcv_nxt)) {
-        if (seq_geq(it->first + it->second.size(), p.rcv_nxt)) {
-          const std::uint32_t skip = p.rcv_nxt - it->first;
-          if (!deliver_payload(id,
-                               {it->second.begin() + skip, it->second.end()}))
-            break;
-        }
-        it = p.ooo.erase(it);
-      }
+      deliver_segment(id, std::move(msg.packet), header->header_len());
+      drain_ooo(id);
       // ACK every second data segment (the measured 4.4BSD behaviour).
       ++p.segs_since_ack;
       if (p.segs_since_ack >= cfg_.delack_every) {
@@ -465,35 +452,25 @@ void TcpLayer::process(core::Message msg) {
   if (payload_len != 0 &&
       (p.state == TcpState::kEstablished || p.state == TcpState::kFinWait1 ||
        p.state == TcpState::kFinWait2)) {
-    std::vector<std::uint8_t> bytes(payload_len);
-    if (!msg.packet.copy_out(header->header_len(), bytes)) return;
     if (header->seq == p.rcv_nxt) {
-      if (deliver_payload(id, std::move(bytes))) {
-        auto it = p.ooo.begin();
-        while (it != p.ooo.end() && seq_leq(it->first, p.rcv_nxt)) {
-          if (seq_geq(it->first + it->second.size(), p.rcv_nxt)) {
-            const std::uint32_t skip = p.rcv_nxt - it->first;
-            if (!deliver_payload(
-                    id, {it->second.begin() + skip, it->second.end()}))
-              break;
-          }
-          it = p.ooo.erase(it);
-        }
-      }
-      send_ack(id);  // rcv_nxt unchanged on failed delivery → dup ACK
+      deliver_segment(id, std::move(msg.packet), header->header_len());
+      drain_ooo(id);
+      send_ack(id);
     } else if (seq_gt(header->seq, p.rcv_nxt)) {
-      // Out of order: buffer (bounded) and ask for what we need.
+      // Out of order: buffer (bounded) and ask for what we need. The
+      // bytes are copied out so a parked segment pins no pool mbufs.
       if (p.ooo.size() < 64) {
+        std::vector<std::uint8_t> bytes(payload_len);
+        if (!msg.packet.copy_out(header->header_len(), bytes)) return;
         p.ooo.emplace(header->seq, std::move(bytes));
         ++p.stats.ooo_buffered;
       }
       ++p.stats.dup_acks_sent;
       send_ack(id);
     } else {
-      // Partially duplicate: trim the prefix we already have. On a failed
-      // delivery the ACK repeats the old rcv_nxt, soliciting retransmit.
-      const std::uint32_t skip = p.rcv_nxt - header->seq;
-      (void)deliver_payload(id, {bytes.begin() + skip, bytes.end()});
+      // Partially duplicate: trim the prefix we already have.
+      deliver_segment(id, std::move(msg.packet),
+                      header->header_len() + (p.rcv_nxt - header->seq));
       send_ack(id);
     }
   }
@@ -505,20 +482,41 @@ void TcpLayer::process(core::Message msg) {
   }
 }
 
-bool TcpLayer::deliver_payload(PcbId id, std::vector<std::uint8_t> bytes) {
+void TcpLayer::deliver_segment(PcbId id, buf::Packet segment,
+                               std::uint32_t skip) {
   TcpPcb& p = pcb(id);
+  segment.adj(static_cast<std::int32_t>(skip));
+  const std::uint32_t len = segment.length();
+  if (len == 0) return;  // a resent FIN whose data is all duplicate
+  p.rcv_nxt += len;
+  core::Message up(std::move(segment));
+  up.flow_id = p.socket;
+  emit(std::move(up), 0);
+}
+
+void TcpLayer::drain_ooo(PcbId id) {
+  TcpPcb& p = pcb(id);
+  auto it = p.ooo.begin();
+  while (it != p.ooo.end() && seq_leq(it->first, p.rcv_nxt)) {
+    if (seq_geq(it->first + it->second.size(), p.rcv_nxt)) {
+      const std::uint32_t skip = p.rcv_nxt - it->first;
+      if (!deliver_payload(id, {it->second.begin() + skip, it->second.end()}))
+        break;
+    }
+    it = p.ooo.erase(it);
+  }
+}
+
+bool TcpLayer::deliver_payload(PcbId id, std::vector<std::uint8_t> bytes) {
   if (bytes.empty()) return true;
   // Consume sequence space only when the bytes actually reach the socket
   // path. Advancing rcv_nxt past an allocation failure would ACK data
   // that was silently dropped — the peer clears its rtx entry and the
-  // hole in the stream becomes unrecoverable. Failing here instead makes
-  // the segment look rx-lost, and the peer's retransmit repairs it.
+  // hole in the stream becomes unrecoverable. Failing here instead keeps
+  // the bytes buffered for the next in-order arrival to drain.
   buf::Packet pkt = buf::Packet::from_bytes(ip_.pool(), bytes);
   if (!pkt) return false;
-  p.rcv_nxt += static_cast<std::uint32_t>(bytes.size());
-  core::Message up(std::move(pkt));
-  up.flow_id = p.socket;
-  emit(std::move(up), 0);
+  deliver_segment(id, std::move(pkt), 0);
   return true;
 }
 

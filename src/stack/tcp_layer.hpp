@@ -177,9 +177,17 @@ class TcpLayer final : public core::Layer {
   static void cancel_timers(TcpPcb& p) noexcept;
   void reset_connection(PcbId id);
   void process_ack(PcbId id, std::uint32_t ack, std::uint32_t wnd);
-  /// Advance rcv_nxt and pass bytes up toward the socket. Returns false
-  /// (with rcv_nxt untouched) when the rx pool is exhausted — the caller
-  /// must treat the segment as lost so the peer retransmits it.
+  /// In-order delivery (tcp_input → sbappend): trim `skip` bytes (header
+  /// plus any duplicate prefix) off the received chain, advance rcv_nxt
+  /// past the rest and hand that same chain to the socket layer. Copies
+  /// and allocates nothing, so it cannot fail.
+  void deliver_segment(PcbId id, buf::Packet segment, std::uint32_t skip);
+  /// Deliver the out-of-order data that rcv_nxt has now reached. A failed
+  /// delivery keeps its entry for the retransmission to land on.
+  void drain_ooo(PcbId id);
+  /// Pass out-of-order bytes up toward the socket in fresh pool mbufs and
+  /// advance rcv_nxt. Returns false (with rcv_nxt untouched) when the rx
+  /// pool is exhausted — the bytes stay buffered.
   [[nodiscard]] bool deliver_payload(PcbId id, std::vector<std::uint8_t> bytes);
   void handle_fin(PcbId id);
   [[nodiscard]] std::uint16_t advertised_window(const TcpPcb& p) const;

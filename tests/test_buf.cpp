@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "buf/packet.hpp"
@@ -61,6 +62,79 @@ TEST(Pool, ClusterSharingRefcounts) {
   EXPECT_EQ(pool.clusters_free(), 1u);  // still referenced by b
   pool.free_one(b);
   EXPECT_EQ(pool.clusters_free(), 2u);
+}
+
+/// Reference for the lazy slabs: a LIFO free list filled with every slot
+/// up front, lowest index on top.
+struct EagerFreeList {
+  std::vector<std::size_t> free;
+  explicit EagerFreeList(std::size_t n) {
+    for (std::size_t i = n; i-- > 0;) free.push_back(i);
+  }
+  std::optional<std::size_t> take() {
+    if (free.empty()) return std::nullopt;
+    const std::size_t slot = free.back();
+    free.pop_back();
+    return slot;
+  }
+};
+
+TEST(Pool, LazySlabsHandOutInEagerOrder) {
+  constexpr std::size_t kMbufs = 48;
+  constexpr std::size_t kClusters = 12;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    MbufPool pool(kMbufs, kClusters);
+    EagerFreeList mbuf_ref(kMbufs);
+    EagerFreeList cluster_ref(kClusters);
+    // Slot 0 is the first ever handed out, so its address anchors the
+    // index of every later one.
+    const Mbuf* mbuf_base = nullptr;
+    const std::uint8_t* cluster_base = nullptr;
+    struct Held {
+      Mbuf* m;
+      std::size_t slot;
+      std::optional<std::size_t> cluster;
+    };
+    std::vector<Held> held;
+    Rng rng(seed);
+    for (int step = 0; step < 2000; ++step) {
+      if (held.empty() || rng.chance(0.55)) {
+        Mbuf* m = pool.alloc();
+        const auto slot = mbuf_ref.take();
+        ASSERT_EQ(m != nullptr, slot.has_value()) << "step " << step;
+        if (m == nullptr) continue;
+        if (mbuf_base == nullptr) mbuf_base = m;
+        ASSERT_EQ(static_cast<std::size_t>(m - mbuf_base), *slot)
+            << "step " << step;
+        Held h{m, *slot, std::nullopt};
+        if (rng.chance(0.5)) {
+          const bool got = pool.add_cluster(*m);
+          h.cluster = cluster_ref.take();
+          ASSERT_EQ(got, h.cluster.has_value()) << "step " << step;
+          if (got) {
+            if (cluster_base == nullptr) cluster_base = m->buffer_start();
+            const auto offset =
+                static_cast<std::size_t>(m->buffer_start() - cluster_base);
+            ASSERT_EQ(offset % sizeof(Cluster), 0u);
+            ASSERT_EQ(offset / sizeof(Cluster), *h.cluster) << "step " << step;
+          }
+        }
+        held.push_back(h);
+      } else {
+        const std::size_t i = rng.bounded(held.size());
+        pool.free_one(held[i].m);
+        mbuf_ref.free.push_back(held[i].slot);
+        if (held[i].cluster) cluster_ref.free.push_back(*held[i].cluster);
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      ASSERT_EQ(pool.mbufs_free(), mbuf_ref.free.size()) << "step " << step;
+      ASSERT_EQ(pool.clusters_free(), cluster_ref.free.size())
+          << "step " << step;
+    }
+    for (const Held& h : held) pool.free_one(h.m);
+    EXPECT_EQ(pool.mbufs_free(), kMbufs);
+    EXPECT_EQ(pool.clusters_free(), kClusters);
+  }
 }
 
 TEST(Packet, FromBytesRoundTrip) {

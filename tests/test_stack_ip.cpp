@@ -344,6 +344,33 @@ TEST(Sockets, ReceiveBufferOverflowCounted) {
   EXPECT_GT(net.b->sockets().socket_stats(rx_sock).overflows, 0u);
 }
 
+TEST(Sockets, DatagramHiwatCountsReadsAndCrash) {
+  SocketLayer sockets;
+  const SocketId id = sockets.create(SocketKind::kDatagram, 100);
+  const auto deliver = [&](std::size_t n) {
+    Datagram d;
+    d.payload.assign(n, 0x11);
+    sockets.deliver_datagram(id, std::move(d));
+  };
+  const auto overflows = [&] { return sockets.socket_stats(id).overflows; };
+  deliver(40);
+  deliver(40);
+  ASSERT_TRUE(sockets.read_datagram(id).has_value());  // 40 queued
+  deliver(30);
+  deliver(30);  // exactly hiwat: accepted
+  EXPECT_EQ(overflows(), 0u);
+  deliver(1);  // one past hiwat: refused
+  EXPECT_EQ(overflows(), 1u);
+  EXPECT_EQ(sockets.pending_datagrams(id), 3u);
+  ASSERT_TRUE(sockets.read_datagram(id).has_value());  // 60 queued
+  deliver(40);
+  EXPECT_EQ(overflows(), 1u);
+  sockets.crash();
+  deliver(100);
+  EXPECT_EQ(overflows(), 1u);
+  EXPECT_EQ(sockets.pending_datagrams(id), 1u);
+}
+
 TEST(Scheduling, LdlpAndConventionalDeliverSameData) {
   for (const auto mode :
        {core::SchedMode::kConventional, core::SchedMode::kLdlp}) {

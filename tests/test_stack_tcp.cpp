@@ -1,16 +1,20 @@
 // TCP behaviour tests: handshake, data transfer, header-prediction fast
 // path, delayed ACKs, loss recovery, out-of-order buffering, orderly and
 // abortive close, PCB demux (single-entry cache over the 4-tuple table),
-// PCB id allocation and ephemeral ports.
+// PCB id allocation, ephemeral ports, copy-free in-order delivery and the
+// stream socket buffer it lands in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "stack/host.hpp"
+#include "wire/tcp.hpp"
 
 namespace ldlp::stack {
 namespace {
@@ -396,6 +400,235 @@ TEST(TcpPools, NoMbufLeakAcrossSession) {
                   net.server->pool().stats().mbufs_outstanding();
   }
   EXPECT_EQ(outstanding, 0u);
+}
+
+// ---- Copy-free in-order delivery ----------------------------------------
+
+TEST(TcpDelivery, InOrderSegmentDeliveredWithPoolExhausted) {
+  // In-order data travels up in the received chain itself, so an empty
+  // pool cannot turn an arrived segment into a loss.
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  const std::vector<std::uint8_t> data(32, 0x5a);  // frame fits one mbuf
+  ASSERT_TRUE(net.client->tcp().send(net.conn, data));
+  net.client->pump();
+  ASSERT_EQ(net.server->device().rx_pending(), 1u);
+  // Leave the server exactly the mbuf its device pulls the frame into.
+  buf::MbufPool& pool = net.server->pool();
+  std::vector<buf::Mbuf*> held;
+  while (pool.mbufs_free() > 1) held.push_back(pool.alloc());
+  const auto rcv_nxt = net.server->tcp().pcb_view(net.accepted).rcv_nxt;
+  net.server->pump();
+  for (buf::Mbuf* m : held) pool.free_one(m);
+  EXPECT_EQ(net.server->tcp().pcb_stats(net.accepted).fast_path, 1u);
+  EXPECT_EQ(net.server->tcp().pcb_view(net.accepted).rcv_nxt,
+            rcv_nxt + data.size());
+  EXPECT_EQ(net.drain_server_socket(64), data);
+}
+
+TEST(TcpDelivery, FastPathAllocatesOnlyTheFrameAndItsAck) {
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  const buf::PoolStats& pool = net.server->pool().stats();
+  const TcpPcbStats& pcb = net.server->tcp().pcb_stats(net.accepted);
+  const auto acks_start = pcb.acks_sent;
+  for (int seg = 0; seg < 4; ++seg) {
+    const std::vector<std::uint8_t> data(1000, static_cast<std::uint8_t>(seg));
+    ASSERT_TRUE(net.client->tcp().send(net.conn, data));
+    net.client->pump();
+    const buf::PoolStats before = pool;
+    const auto fast_before = pcb.fast_path;
+    const auto acks_before = pcb.acks_sent;
+    net.server->pump();
+    ASSERT_EQ(pcb.fast_path, fast_before + 1) << "segment " << seg;
+    // The device pulls the frame into a head mbuf plus one cluster mbuf;
+    // every second segment adds a one-mbuf ACK. Nothing else.
+    EXPECT_EQ(pool.mbuf_allocs - before.mbuf_allocs,
+              2 + (pcb.acks_sent - acks_before))
+        << "segment " << seg;
+    EXPECT_EQ(pool.cluster_allocs - before.cluster_allocs, 1u)
+        << "segment " << seg;
+  }
+  EXPECT_EQ(pcb.acks_sent - acks_start, 2u);
+  EXPECT_EQ(net.drain_server_socket(8000).size(), 4000u);
+}
+
+TEST(TcpDelivery, ResentFinOverDuplicateDataWakesNobody) {
+  // A FIN that arrives with data the receiver already has leaves nothing
+  // to deliver: the socket must see no append and no wakeup.
+  TcpPair net;
+  ASSERT_TRUE(net.establish());
+  std::vector<std::uint8_t> frame;
+  net.client->device().set_tx_sink([&](std::vector<std::uint8_t>&& bytes) {
+    frame = bytes;
+    net.server->device().inject(std::move(bytes));
+    return true;
+  });
+  const auto data = bytes_of("abc");
+  ASSERT_TRUE(net.client->tcp().send(net.conn, data));
+  net.settle();
+  ASSERT_EQ(net.drain_server_socket(16), data);
+  // Resend that segment with FIN set, patching the TCP checksum for the
+  // changed flags word (RFC 1624: HC' = ~(~HC + ~m + m')).
+  constexpr std::size_t kTcp = 14 + 20;
+  const auto word = [&](std::size_t at) {
+    return static_cast<std::uint32_t>(frame[at] << 8 | frame[at + 1]);
+  };
+  const std::uint32_t old_flags = word(kTcp + 12);
+  frame[kTcp + 13] |= wire::tcpflags::kFin;
+  std::uint32_t sum = (~word(kTcp + 16) & 0xffff) + (~old_flags & 0xffff) +
+                      word(kTcp + 12);
+  sum = (sum & 0xffff) + (sum >> 16);
+  sum = (sum & 0xffff) + (sum >> 16);
+  frame[kTcp + 16] = static_cast<std::uint8_t>(~sum >> 8);
+  frame[kTcp + 17] = static_cast<std::uint8_t>(~sum);
+  const SocketId sock = net.server->tcp().socket_of(net.accepted);
+  const SocketStats before = net.server->sockets().socket_stats(sock);
+  net.server->device().inject(frame);
+  net.server->pump();
+  EXPECT_EQ(net.server->tcp().tcp_stats().bad_checksum, 0u);
+  EXPECT_EQ(net.server->tcp().state(net.accepted), TcpState::kCloseWait);
+  const SocketStats& after = net.server->sockets().socket_stats(sock);
+  EXPECT_EQ(after.wakeups, before.wakeups);
+  EXPECT_EQ(after.appended_bytes, before.appended_bytes);
+  EXPECT_EQ(net.server->sockets().readable_bytes(sock), 0u);
+}
+
+// ---- Stream socket buffer -----------------------------------------------
+
+/// A socket layer alone in a conventional graph: inject() runs sbappend.
+struct SocketRig {
+  buf::MbufPool pool{256, 32};
+  SocketLayer sockets;
+  core::StackGraph graph;
+  core::LayerId layer = graph.add_layer(sockets);
+
+  void append(SocketId id, buf::Packet chain) {
+    core::Message msg(std::move(chain));
+    msg.flow_id = id;
+    graph.inject(layer, std::move(msg));
+  }
+
+  /// A chain of one mbuf per piece, behind an empty head mbuf (what TCP
+  /// hands up after trimming a header that filled the head).
+  buf::Packet chain(const std::vector<std::vector<std::uint8_t>>& pieces) {
+    buf::Packet out =
+        buf::Packet::from_bytes(pool, std::vector<std::uint8_t>(20));
+    out.adj(20);
+    for (const auto& piece : pieces)
+      out.cat(buf::Packet::from_bytes(pool, piece));
+    return out;
+  }
+};
+
+std::vector<std::uint8_t> counting(std::size_t n, std::size_t from) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = static_cast<std::uint8_t>((from + i) * 7);
+  return out;
+}
+
+TEST(StreamSocket, InterleavedAppendsAndPartialReadsMatchModel) {
+  SocketRig rig;
+  const SocketId id = rig.sockets.create(SocketKind::kStream, 1 << 20);
+  std::vector<std::uint8_t> model;  // unread bytes, in order
+  std::size_t sent = 0;
+  std::size_t received = 0;
+  Rng rng(5);
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.chance(0.5)) {
+      std::vector<std::vector<std::uint8_t>> pieces(rng.bounded(3) + 1);
+      for (auto& piece : pieces) {
+        piece = counting(rng.bounded(300) + 1, sent);  // >100 B: cluster
+        sent += piece.size();
+        model.insert(model.end(), piece.begin(), piece.end());
+      }
+      rig.append(id, rig.chain(pieces));
+    } else {
+      std::vector<std::uint8_t> out(rng.bounded(700) + 1);
+      const auto want = static_cast<std::ptrdiff_t>(
+          std::min(out.size(), model.size()));
+      ASSERT_EQ(rig.sockets.read(id, out), static_cast<std::size_t>(want));
+      ASSERT_TRUE(std::equal(model.begin(), model.begin() + want, out.begin()))
+          << "step " << step;
+      model.erase(model.begin(), model.begin() + want);
+      received += static_cast<std::size_t>(want);
+    }
+    ASSERT_EQ(rig.sockets.readable_bytes(id), model.size()) << "step " << step;
+    ASSERT_EQ(rig.sockets.room(id), (std::size_t{1} << 20) - model.size());
+  }
+  EXPECT_GT(received, 0u);
+  EXPECT_EQ(rig.sockets.socket_stats(id).appended_bytes, sent);
+  EXPECT_EQ(rig.sockets.socket_stats(id).read_bytes, received);
+  EXPECT_EQ(rig.sockets.socket_stats(id).overflows, 0u);
+  EXPECT_EQ(rig.pool.stats().mbufs_outstanding(), 0u);
+}
+
+TEST(StreamSocket, OvershootPastHiwatIsKeptAndCounted) {
+  SocketRig rig;
+  const SocketId id = rig.sockets.create(SocketKind::kStream, 100);
+  rig.append(id, rig.chain({counting(80, 0)}));
+  EXPECT_EQ(rig.sockets.socket_stats(id).overflows, 0u);
+  EXPECT_EQ(rig.sockets.room(id), 20u);
+  rig.append(id, rig.chain({counting(50, 80), counting(30, 130)}));
+  EXPECT_EQ(rig.sockets.socket_stats(id).overflows, 1u);
+  EXPECT_EQ(rig.sockets.readable_bytes(id), 160u);
+  EXPECT_EQ(rig.sockets.room(id), 0u);
+  std::vector<std::uint8_t> out(500);
+  out.resize(rig.sockets.read(id, out));
+  EXPECT_EQ(out, counting(160, 0));
+  EXPECT_EQ(rig.sockets.room(id), 100u);
+}
+
+TEST(StreamSocket, CrashEmptiesBuffer) {
+  SocketRig rig;
+  const SocketId id = rig.sockets.create(SocketKind::kStream);
+  rig.append(id, rig.chain({counting(300, 0)}));
+  std::vector<std::uint8_t> out(100);
+  ASSERT_EQ(rig.sockets.read(id, out), 100u);
+  rig.sockets.crash();
+  EXPECT_EQ(rig.sockets.readable_bytes(id), 0u);
+  EXPECT_EQ(rig.sockets.read(id, out), 0u);
+  rig.append(id, rig.chain({counting(10, 500)}));
+  out.resize(rig.sockets.read(id, out));
+  EXPECT_EQ(out, counting(10, 500));
+}
+
+/// Records every piece the socket layer reports appending.
+class RecordingTap final : public SocketTap {
+ public:
+  void on_stream_append(SocketId /*id*/,
+                        std::span<const std::uint8_t> bytes) override {
+    ++pieces;
+    seen.insert(seen.end(), bytes.begin(), bytes.end());
+  }
+  void on_datagram(SocketId /*id*/, const Datagram& /*dgram*/) override {}
+
+  std::size_t pieces = 0;
+  std::vector<std::uint8_t> seen;
+};
+
+TEST(StreamSocket, TapSeesEveryNonEmptyPieceOnce) {
+  SocketRig rig;
+  RecordingTap tap;
+  rig.sockets.set_tap(&tap);
+  const SocketId id = rig.sockets.create(SocketKind::kStream);
+  std::vector<buf::Packet> chains;
+  chains.push_back(
+      rig.chain({counting(60, 0), counting(700, 60), counting(5, 760)}));
+  chains.push_back(rig.chain({counting(40, 765)}));
+  std::size_t non_empty = 0;
+  for (buf::Packet& chain : chains) {
+    for (const buf::Mbuf* m = chain.head(); m != nullptr; m = m->next())
+      non_empty += m->len() != 0 ? 1 : 0;
+    rig.append(id, std::move(chain));
+  }
+  EXPECT_GE(non_empty, 5u);  // 700 B spans a head mbuf and a cluster
+  EXPECT_EQ(tap.pieces, non_empty);  // the empty heads are not reported
+  std::vector<std::uint8_t> out(2000);
+  out.resize(rig.sockets.read(id, out));
+  EXPECT_EQ(tap.seen, out);
+  EXPECT_EQ(out, counting(805, 0));
 }
 
 TEST(TcpClose, NoRetransmitTimerFiresAfterAbort) {
