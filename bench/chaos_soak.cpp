@@ -1207,7 +1207,7 @@ bool outcomes_identical(const std::vector<SeedOutcome>& serial,
 
 int main(int argc, char** argv) {
   benchutil::Flags flags(argc, argv);
-  if (flags.u64("help", 0) != 0) {
+  if (flags.flag("help") || flags.u64("help", 0) != 0) {
     std::printf(
         "chaos_soak: seeded fault schedules against oracle-checked "
         "protocol scenarios\n\n"

@@ -95,6 +95,22 @@ void BM_TcpParse(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpParse);
 
+/// One Toeplitz flow hash (the RSS steering cost per frame on a
+/// multi-queue device or a multi-lane StagedRx), over 64 distinct keys.
+void BM_FlowHash(benchmark::State& state) {
+  const stack::FlowHash hash;
+  std::vector<stack::FlowKey> keys;
+  for (std::uint32_t f = 0; f < 64; ++f)
+    keys.push_back({0x0a000001u + f, 0x0a00ffffu,
+                    static_cast<std::uint16_t>(10000 + f), 53, 17});
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash(keys[i]));
+    i = (i + 1) % keys.size();
+  }
+}
+BENCHMARK(BM_FlowHash);
+
 /// The per-layer input queue, before and after the intrusive rewrite.
 /// "Deque" is the old implementation (std::deque<Packet> — one node
 /// allocation plus a Packet move per enqueue); "Intrusive" is the current

@@ -39,6 +39,22 @@ Packet Packet::from_bytes(MbufPool& pool,
   return pkt;
 }
 
+Packet Packet::devget(MbufPool& pool,
+                      std::span<const std::uint8_t> frame) noexcept {
+  if (frame.size() > kClusterSize) return from_bytes(pool, frame);
+  Packet pkt = make(pool);
+  if (!pkt) return pkt;
+  Mbuf& m = *pkt.head_;
+  if (frame.size() > m.buffer_size() && !pool.add_cluster(m)) return {};
+  const auto len = static_cast<std::uint32_t>(frame.size());
+  // Empty window to the buffer's end, then grow it forward over the frame.
+  m.grow_back(m.trailing_space());
+  m.trim_front(m.len());
+  std::memcpy(m.grow_front(len), frame.data(), len);
+  m.set_pkt_len(len);
+  return pkt;
+}
+
 std::uint32_t Packet::length() const noexcept {
   std::uint32_t total = 0;
   for (const Mbuf* m = head_; m != nullptr; m = m->next()) total += m->len();

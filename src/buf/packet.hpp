@@ -47,6 +47,16 @@ class Packet {
   [[nodiscard]] static Packet from_bytes(
       MbufPool& pool, std::span<const std::uint8_t> payload) noexcept;
 
+  /// m_devget: copy a received frame into one buffer — the pkthdr mbuf's
+  /// internal area when it fits, else one cluster attached to it — so
+  /// every layer above walks a single mbuf. The frame sits at the end of
+  /// its buffer, leaving all spare room in front for a reply that reuses
+  /// it to prepend headers in place. Frames longer than a cluster fall
+  /// back to from_bytes. Empty Packet if the pool (or, for a frame that
+  /// needs one, the cluster pool) is exhausted.
+  [[nodiscard]] static Packet devget(
+      MbufPool& pool, std::span<const std::uint8_t> frame) noexcept;
+
   [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
   explicit operator bool() const noexcept { return head_ != nullptr; }
 

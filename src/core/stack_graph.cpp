@@ -13,6 +13,7 @@ LayerId StackGraph::add_layer(Layer& layer) {
   const auto id = static_cast<LayerId>(nodes_.size());
   nodes_.push_back(Node{&layer, {}, {}});
   layers_.push_back(&layer);
+  pass_snapshot_.push_back(0);
   layer.graph_ = this;
   layer.id_ = id;
   return id;
@@ -126,12 +127,11 @@ std::size_t StackGraph::run_stage_pass() {
   if (mode_ == SchedMode::kConventional) return 0;
   // Snapshot first: work a lower layer hands up during this pass belongs
   // to the *next* pass, which is what makes each pass one stage advance.
-  std::vector<std::size_t> snapshot(nodes_.size());
   for (LayerId id = 0; id < nodes_.size(); ++id)
-    snapshot[id] = nodes_[id].layer->queue_len();
+    pass_snapshot_[id] = nodes_[id].layer->queue_len();
   std::size_t total = 0;
   for (LayerId id = 0; id < nodes_.size(); ++id) {
-    std::size_t limit = snapshot[id];
+    std::size_t limit = pass_snapshot_[id];
     if (limit == 0) continue;
     if (batch_limit_ != 0) limit = std::min(limit, batch_limit_);
     total += nodes_[id].layer->drain(limit);

@@ -156,6 +156,8 @@ class StackGraph {
   std::size_t batch_limit_ = 0;
   std::size_t backlog_limit_ = 0;
   int depth_ = 0;  ///< Live process_now() nesting (conventional mode).
+  /// run_stage_pass's per-layer queue snapshot; add_layer sizes it.
+  std::vector<std::size_t> pass_snapshot_;
   GraphStats gstats_;
   RunningStats drain_seconds_;
 };

@@ -29,13 +29,13 @@ const char* stage_name(Stage stage) noexcept {
 StagedRx::StagedRx(stack::Host& host, PipelineConfig cfg)
     : host_(host),
       cfg_(cfg),
-      hash_(cfg.symmetric, cfg.hash_seed),
       parse_q_(cfg.stage_queue_cap),
       steer_q_(cfg.stage_queue_cap),
       sock_base_(host.sockets().stats()) {
   LDLP_ASSERT_MSG(host_.graph().mode() == core::SchedMode::kLdlp,
                   "StagedRx schedules the graph itself; host must be kLdlp");
   if (cfg_.lanes == 0) cfg_.lanes = 1;
+  if (cfg_.lanes > 1) hash_.emplace(cfg_.symmetric, cfg_.hash_seed);
   for (std::size_t lane = 0; lane < cfg_.lanes; ++lane)
     proto_q_.emplace_back(cfg_.stage_queue_cap);
 }
@@ -58,8 +58,9 @@ std::uint32_t StagedRx::classify_hash(const buf::Packet& pkt) const {
   if (head->next() == nullptr) {
     key = stack::FlowHash::classify(head->bytes());
   } else {
-    // Headers straddle mbufs (tiny clusters in stress tests): classify
-    // from a bounded copy of the front — eth + max IP header + ports.
+    // A chained frame (one longer than a cluster, which the device
+    // copy-in spreads over mbufs): classify from a bounded copy of the
+    // front — eth + max IP header + ports.
     std::array<std::uint8_t, 94> hdr{};
     const std::uint32_t want =
         std::min<std::uint32_t>(pkt.length(),
@@ -67,43 +68,51 @@ std::uint32_t StagedRx::classify_hash(const buf::Packet& pkt) const {
     if (!pkt.copy_out(0, {hdr.data(), want})) return 0;
     key = stack::FlowHash::classify({hdr.data(), want});
   }
-  return key.has_value() ? hash_(*key) : 0;
+  return key.has_value() ? (*hash_)(*key) : 0;
 }
 
 void StagedRx::run_parse(std::size_t limit, par::WorkerPool* pool) {
   if (parse_q_.empty()) return;
   ++parse_.activations;
-  std::vector<buf::Packet> batch;
-  while (batch.size() < limit && !parse_q_.empty())
-    batch.push_back(parse_q_.pop());
-  parse_.handed_off += batch.size();
-  std::vector<std::uint32_t> hashes(batch.size(), 0);
-  if (pool != nullptr && pool->workers() > 1 && batch.size() > 1) {
+  if (!hash_) {
+    // One lane: every frame goes to lane 0, so there is nothing to
+    // classify — hand frames straight on.
+    for (std::size_t n = 0; n < limit && !parse_q_.empty(); ++n) {
+      ++parse_.handed_off;
+      (void)offer(steer_, steer_q_, parse_q_.pop());
+    }
+    return;
+  }
+  while (batch_.size() < limit && !parse_q_.empty())
+    batch_.push_back(parse_q_.pop());
+  parse_.handed_off += batch_.size();
+  hashes_.resize(batch_.size());
+  if (pool != nullptr && pool->workers() > 1 && batch_.size() > 1) {
     // Frame-indexed slots: bit-identical for any --jobs.
-    pool->run(batch.size(), [&](std::size_t i, par::WorkerContext&) {
-      hashes[i] = classify_hash(batch[i]);
+    pool->run(batch_.size(), [&](std::size_t i, par::WorkerContext&) {
+      hashes_[i] = classify_hash(batch_[i]);
     });
   } else {
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      hashes[i] = classify_hash(batch[i]);
+    for (std::size_t i = 0; i < batch_.size(); ++i)
+      hashes_[i] = classify_hash(batch_[i]);
   }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (offer(steer_, steer_q_, std::move(batch[i])))
-      steer_meta_.push_back(hashes[i]);
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    if (offer(steer_, steer_q_, std::move(batch_[i])))
+      steer_meta_.push_back(hashes_[i]);
   }
+  batch_.clear();
 }
 
 void StagedRx::run_steer() {
   if (steer_q_.empty()) return;
   ++steer_.activations;
-  while (!steer_q_.empty()) {
-    buf::Packet frame = steer_q_.pop();
-    LDLP_DASSERT(!steer_meta_.empty());
-    const std::uint32_t hash = steer_meta_.front();
-    steer_meta_.pop_front();
+  LDLP_DASSERT(!hash_ || steer_meta_.size() == steer_q_.size());
+  for (std::size_t i = 0; !steer_q_.empty(); ++i) {
+    const std::size_t lane = hash_ ? steer_meta_[i] % cfg_.lanes : 0;
     ++steer_.handed_off;
-    (void)offer(proto_, proto_q_[hash % cfg_.lanes], std::move(frame));
+    (void)offer(proto_, proto_q_[lane], steer_q_.pop());
   }
+  steer_meta_.clear();
 }
 
 void StagedRx::run_proto() {
@@ -205,7 +214,7 @@ std::vector<std::string> StagedRx::audit() const {
   check_conservation(Stage::kParse);
   check_conservation(Stage::kSteer);
   check_conservation(Stage::kProto);
-  if (steer_meta_.size() != steer_q_.size())
+  if (hash_ && steer_meta_.size() != steer_q_.size())
     violations.push_back("pipe.steer: metadata out of sync with queue");
 
   // Zero-copy mbuf ownership: every chain parked at a stage boundary must

@@ -8,12 +8,14 @@
 // stage queues hold chains owned by the host pool, one chain per queued
 // frame). The stage bodies are carved out of stack::Host's rx path:
 //
-//   parse  — Host::pull_frame (device interrupt + mbuf copy-in), then
-//            header classification via stack::FlowHash::classify. The
-//            per-frame classification is data-parallel and runs on a
-//            par::WorkerPool when one is supplied, writing into
-//            frame-indexed slots so the result is bit-identical for any
-//            --jobs (the determinism rule of ldlp::par).
+//   parse  — Host::pull_frame (device interrupt + one-buffer copy-in),
+//            then, with lanes > 1, header classification via
+//            stack::FlowHash::classify. The per-frame classification is
+//            data-parallel and runs on a par::WorkerPool when one is
+//            supplied, writing into frame-indexed slots so the result is
+//            bit-identical for any --jobs (the determinism rule of
+//            ldlp::par). With one lane every frame goes to lane 0, so
+//            parse classifies nothing and no FlowHash is built.
 //   steer  — pins the frame's flow to one proto/socket lane with the
 //            Toeplitz hash (lane = hash % lanes), so frames of one flow
 //            never reorder across stages: lanes are FIFO and drained in
@@ -41,6 +43,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -137,12 +140,17 @@ class StagedRx {
 
   stack::Host& host_;
   PipelineConfig cfg_;
-  stack::FlowHash hash_;
+  /// Built only when lanes > 1; one lane steers nothing.
+  std::optional<stack::FlowHash> hash_;
   buf::PacketQueue parse_q_;
   buf::PacketQueue steer_q_;
-  /// Flow hash of each frame in steer_q_, same order (parse computes it
-  /// once; steer only folds it onto a lane).
-  std::deque<std::uint32_t> steer_meta_;
+  /// lanes > 1: flow hash of each frame in steer_q_, same order (parse
+  /// computes it once; steer folds it onto a lane and clears the vector).
+  std::vector<std::uint32_t> steer_meta_;
+  /// run_parse's classification batch and its frame-indexed hashes,
+  /// reused across passes.
+  std::vector<buf::Packet> batch_;
+  std::vector<std::uint32_t> hashes_;
   /// One bounded queue per lane (deque: PacketQueue is pinned in place).
   std::deque<buf::PacketQueue> proto_q_;
   StageCounters parse_;

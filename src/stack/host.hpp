@@ -119,7 +119,7 @@ class Host {
 
   /// The device-interrupt half of the pump, alone: vector through the
   /// interrupt glue and copy the next frame of RX `queue` out of device
-  /// memory into a fresh mbuf chain. Empty when the queue is idle or the
+  /// memory into one fresh mbuf (plus a cluster when it needs one). Empty when the queue is idle or the
   /// pool is exhausted (frames then stay in device memory). ldlp::pipe
   /// uses this as the intake of its parse stage; pump_queue() is exactly
   /// pull_frame + inject_rx in a loop.

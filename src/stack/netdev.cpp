@@ -17,11 +17,31 @@ FlowHash::FlowHash(bool symmetric, std::uint64_t key_seed)
     : symmetric_(symmetric) {
   // Expand the seed into the 40-byte RSS key (plus 4 bytes of window
   // padding) with splitmix64 — deterministic and well-mixed.
+  std::array<std::uint8_t, 44> key{};
   std::uint64_t state = key_seed;
-  for (std::size_t i = 0; i < key_.size(); i += 8) {
+  for (std::size_t i = 0; i < key.size(); i += 8) {
     const std::uint64_t word = splitmix64(state);
-    for (std::size_t b = 0; b < 8 && i + b < key_.size(); ++b) {
-      key_[i + b] = static_cast<std::uint8_t>(word >> (56 - 8 * b));
+    for (std::size_t b = 0; b < 8 && i + b < key.size(); ++b) {
+      key[i + b] = static_cast<std::uint8_t>(word >> (56 - 8 * b));
+    }
+  }
+  // The 32-bit key window starting at input bit `bit` (MSB first).
+  const auto window = [&key](std::size_t bit) {
+    const std::size_t byte = bit / 8;
+    const std::uint64_t w = (std::uint64_t{key[byte]} << 32) |
+                            (std::uint64_t{key[byte + 1]} << 24) |
+                            (std::uint64_t{key[byte + 2]} << 16) |
+                            (std::uint64_t{key[byte + 3]} << 8) |
+                            std::uint64_t{key[byte + 4]};
+    return static_cast<std::uint32_t>(w >> (8 - bit % 8));
+  };
+  for (std::size_t i = 0; i < nibbles_.size(); ++i) {
+    for (std::uint32_t v = 1; v < 16; ++v) {
+      std::uint32_t acc = 0;
+      for (std::size_t j = 0; j < 4; ++j) {
+        if ((v >> (3 - j)) & 1) acc ^= window(4 * i + j);
+      }
+      nibbles_[i][v] = acc;
     }
   }
 }
@@ -41,7 +61,7 @@ std::uint32_t FlowHash::operator()(const FlowKey& key) const noexcept {
   }
   // RSS input layout: src addr, dst addr, src port, dst port — big-endian,
   // with the protocol appended (a common vendor extension).
-  const std::uint8_t input[13] = {
+  const std::uint8_t input[kInputBytes] = {
       static_cast<std::uint8_t>(src_ip >> 24),
       static_cast<std::uint8_t>(src_ip >> 16),
       static_cast<std::uint8_t>(src_ip >> 8),
@@ -57,19 +77,9 @@ std::uint32_t FlowHash::operator()(const FlowKey& key) const noexcept {
       key.proto,
   };
   std::uint32_t result = 0;
-  for (std::size_t byte = 0; byte < sizeof input; ++byte) {
-    // 32-bit key window starting at bit position `byte * 8`.
-    std::uint64_t window = (std::uint64_t{key_[byte]} << 32) |
-                           (std::uint64_t{key_[byte + 1]} << 24) |
-                           (std::uint64_t{key_[byte + 2]} << 16) |
-                           (std::uint64_t{key_[byte + 3]} << 8) |
-                           std::uint64_t{key_[byte + 4]};
-    for (int bit = 7; bit >= 0; --bit) {
-      if ((input[byte] >> bit) & 1) {
-        // 32-bit slice of the 40-bit window at offset (7 - bit).
-        result ^= static_cast<std::uint32_t>(window >> (bit + 1));
-      }
-    }
+  for (std::size_t byte = 0; byte < kInputBytes; ++byte) {
+    result ^= nibbles_[2 * byte][input[byte] >> 4] ^
+              nibbles_[2 * byte + 1][input[byte] & 0xf];
   }
   return result;
 }
@@ -126,7 +136,11 @@ void NetDevice::connect(NetDevice& a, NetDevice& b) noexcept {
 
 void NetDevice::set_rx_queues(std::size_t queues, bool symmetric) {
   LDLP_ASSERT_MSG(queues >= 1, "a device needs at least one RX queue");
-  hash_ = FlowHash(symmetric);
+  if (queues > 1) {
+    hash_.emplace(symmetric);
+  } else {
+    hash_.reset();
+  }
   std::vector<std::deque<std::vector<std::uint8_t>>> old;
   old.swap(rings_);
   rings_.resize(queues);
@@ -143,7 +157,7 @@ std::size_t NetDevice::steer(
   if (rings_.size() == 1) return 0;
   const auto key = FlowHash::classify(frame_bytes);
   if (!key) return 0;  // ARP and friends share the housekeeping queue
-  return hash_(*key) % rings_.size();
+  return (*hash_)(*key) % rings_.size();
 }
 
 bool NetDevice::transmit(buf::Packet frame) noexcept {
@@ -278,7 +292,7 @@ buf::Packet NetDevice::receive_queue(std::size_t queue) noexcept {
   if (queue >= rings_.size() || rings_[queue].empty()) return {};
   auto& ring = rings_[queue];
   const std::vector<std::uint8_t>& bytes = ring.front();
-  buf::Packet pkt = buf::Packet::from_bytes(pool_, bytes);
+  buf::Packet pkt = buf::Packet::devget(pool_, bytes);
   if (!pkt) {
     // Pool exhausted: leave the frame in device memory for a later pull
     // (the adaptor keeps buffering, which is what enables batching).

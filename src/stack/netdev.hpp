@@ -52,6 +52,12 @@ struct FlowKey {
 /// bits). The key is derived from `key_seed` via splitmix64, so every
 /// device/run with the same seed steers identically — the stability the
 /// shard tests pin down.
+///
+/// Toeplitz is linear over GF(2), so the per-bit XORs of one input nibble
+/// fold into one precomputed window: the constructor builds 26 x 16
+/// nibble windows (1.6 KB) and a hash is 26 table lookups. Build one only
+/// where a hash is taken — a one-queue device or a one-lane pipeline
+/// never needs it.
 class FlowHash {
  public:
   static constexpr std::uint64_t kDefaultKeySeed = 0x1d1b'0001'600d'5eedULL;
@@ -73,9 +79,11 @@ class FlowHash {
       std::span<const std::uint8_t> frame) noexcept;
 
  private:
-  // 40-byte key as in RSS, stored padded so any 32-bit window read is in
-  // bounds.
-  std::array<std::uint8_t, 44> key_{};
+  /// RSS input: src addr, dst addr, src port, dst port, protocol.
+  static constexpr std::size_t kInputBytes = 13;
+  /// nibbles_[i][v]: XOR of the key windows at input bits 4i..4i+3 that
+  /// are set in nibble value v.
+  std::array<std::array<std::uint32_t, 16>, 2 * kInputBytes> nibbles_{};
   bool symmetric_ = false;
 };
 
@@ -133,7 +141,6 @@ class NetDevice {
   [[nodiscard]] std::size_t rx_queue_count() const noexcept {
     return rings_.size();
   }
-  [[nodiscard]] const FlowHash& flow_hash() const noexcept { return hash_; }
 
   /// RX queue a frame with these bytes would steer to right now.
   [[nodiscard]] std::size_t steer(
@@ -162,10 +169,11 @@ class NetDevice {
     return rx_queue_frames_;
   }
 
-  /// Pull the next received frame into an mbuf chain from our pool (the
-  /// driver copy: "the message is copied from device memory into the
-  /// mbufs"). Scans queues in index order; empty packet when every ring
-  /// is empty or the pool is dry.
+  /// Pull the next received frame into our pool (the driver copy: "the
+  /// message is copied from device memory into the mbufs"), one buffer
+  /// per frame via buf::Packet::devget. Scans queues in index order; empty
+  /// packet when every ring is empty or the pool is dry, and the frame
+  /// then stays in device memory for a later pull.
   [[nodiscard]] buf::Packet receive() noexcept;
 
   /// Pull from one RX queue only — the per-shard driver path.
@@ -216,7 +224,8 @@ class NetDevice {
   /// as on real multi-queue adaptors).
   std::vector<std::deque<std::vector<std::uint8_t>>> rings_;
   std::vector<std::uint64_t> rx_queue_frames_;
-  FlowHash hash_;
+  /// Built by set_rx_queues(n > 1) only; one ring needs no steering.
+  std::optional<FlowHash> hash_;
   NetDevice* peer_ = nullptr;
   TxSink tx_sink_;
   double loss_rate_ = 0.0;

@@ -11,6 +11,8 @@
 //    end to end on a real TCP transfer;
 //  * the parse stage's parallel classification is bit-identical for any
 //    WorkerPool size;
+//  * one lane in kLdlp mode leaves exactly what Host::pump leaves:
+//    delivered bytes, per-layer stats, pool stats and TCP PCB state;
 //  * the wide checksum is the same function as the scalar ones.
 #include <gtest/gtest.h>
 
@@ -304,6 +306,150 @@ TEST(Publish, PerStageCountersLandInTheRegistry) {
   EXPECT_GT(registry.counter("pipe.socket.handed_off").value(), 0u);
   EXPECT_EQ(registry.counter("pipe.parse.drops").value(), 0u);
   EXPECT_EQ(registry.gauge("pipe.lanes").value(), 2.0);
+}
+
+// ---- One lane in kLdlp mode is Host::pump --------------------------------
+
+/// Everything a receive driver leaves behind that the protocol can see.
+struct DriverOutcome {
+  std::vector<std::uint8_t> stream;
+  std::vector<std::vector<std::uint8_t>> datagrams;
+  std::vector<core::LayerStats> layers;
+  buf::PoolStats pool;
+  stack::NetDeviceStats device;
+  std::vector<stack::TcpPcb> pcbs;  ///< rx side then tx side.
+  std::uint64_t graph_runs = 0;
+};
+
+/// One mixed UDP + TCP frame sequence, received either by Host::pump
+/// (`staged` false) or by a one-lane kLdlp StagedRx. Includes a burst
+/// that overflows the 64-slot rx ring and TCP segments of every shape the
+/// device copy-in makes (internal area and cluster).
+DriverOutcome one_lane_run(bool staged) {
+  Pair net;
+  std::unique_ptr<pipe::StagedRx> pipeline;
+  if (staged) {
+    pipe::PipelineConfig pc;
+    pc.mode = pipe::RxMode::kLdlp;
+    pc.lanes = 1;
+    pipeline = std::make_unique<pipe::StagedRx>(*net.rx, pc);
+  }
+  const auto pump_rx = [&] {
+    if (pipeline)
+      (void)pipeline->pump();
+    else
+      (void)net.rx->pump();
+  };
+  const auto step = [&] {
+    net.tx->pump();
+    pump_rx();
+    net.tx->advance(0.01);
+    net.rx->advance(0.01);
+  };
+
+  const stack::SocketId dsock =
+      net.rx->sockets().create(stack::SocketKind::kDatagram);
+  EXPECT_TRUE(net.rx->udp().bind(9000, dsock));
+  (void)net.rx->tcp().listen(80);
+  stack::PcbId accepted = stack::kNoPcb;
+  net.rx->tcp().set_accept_hook([&](stack::PcbId id) { accepted = id; });
+  const stack::PcbId conn = net.tx->tcp().connect(net.cb.ip, 80);
+  for (int i = 0; i < 8; ++i) step();
+  EXPECT_EQ(net.tx->tcp().state(conn), stack::TcpState::kEstablished);
+  EXPECT_NE(accepted, stack::kNoPcb);
+
+  DriverOutcome out;
+  Rng rng(0x1a7e);
+  std::vector<std::uint8_t> buf(1 << 16);
+  const stack::SocketId ssock = net.rx->tcp().socket_of(accepted);
+  const auto drain = [&] {
+    while (auto d = net.rx->sockets().read_datagram(dsock))
+      out.datagrams.push_back(d->payload);
+    const std::size_t n = net.rx->sockets().read(ssock, buf);
+    out.stream.insert(out.stream.end(), buf.begin(),
+                      buf.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  for (int round = 0; round < 12; ++round) {
+    // Round 5 sends 80 datagrams into one pump: the ring overflows.
+    const int dgrams = round == 5 ? 80 : 1 + static_cast<int>(rng.bounded(6));
+    for (int i = 0; i < dgrams; ++i) {
+      std::vector<std::uint8_t> payload(
+          rng.bounded(2) == 0 ? 64 : 1 + rng.bounded(1400));
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng.bounded(256));
+      net.tx->udp().send(static_cast<std::uint16_t>(9001 + i % 4),
+                         net.cb.ip, 9000, payload);
+    }
+    std::vector<std::uint8_t> data(
+        round % 3 == 0 ? 64 : 300 + rng.bounded(3000));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.bounded(256));
+    EXPECT_TRUE(net.tx->tcp().send(conn, data));
+    step();
+    drain();
+  }
+  for (int i = 0; i < 20; ++i) {
+    step();
+    drain();
+  }
+
+  for (std::size_t id = 0; id < net.rx->graph().layer_count(); ++id)
+    out.layers.push_back(net.rx->graph().layer(id).stats());
+  out.pool = net.rx->pool().stats();
+  out.device = net.rx->device().stats();
+  out.pcbs.push_back(net.rx->tcp().pcb_view(accepted));
+  out.pcbs.push_back(net.tx->tcp().pcb_view(conn));
+  out.graph_runs = net.rx->graph().graph_stats().runs;
+  if (pipeline) {
+    EXPECT_TRUE(pipeline->audit().empty());
+  }
+  return out;
+}
+
+TEST(OneLane, LdlpStagedRxMatchesHostPump) {
+  const DriverOutcome pump = one_lane_run(false);
+  const DriverOutcome staged = one_lane_run(true);
+  EXPECT_GT(pump.device.rx_drops, 0u) << "the ring must overflow once";
+  EXPECT_GT(pump.stream.size(), 0u);
+  EXPECT_GT(pump.datagrams.size(), 0u);
+
+  EXPECT_EQ(staged.stream, pump.stream);
+  EXPECT_EQ(staged.datagrams, pump.datagrams);
+  ASSERT_EQ(staged.layers.size(), pump.layers.size());
+  for (std::size_t id = 0; id < pump.layers.size(); ++id) {
+    const core::LayerStats& a = pump.layers[id];
+    const core::LayerStats& b = staged.layers[id];
+    EXPECT_EQ(b.enqueued, a.enqueued) << "layer " << id;
+    EXPECT_EQ(b.processed, a.processed) << "layer " << id;
+    EXPECT_EQ(b.drops, a.drops) << "layer " << id;
+    EXPECT_EQ(b.activations, a.activations) << "layer " << id;
+    EXPECT_EQ(b.max_queue, a.max_queue) << "layer " << id;
+  }
+  EXPECT_EQ(staged.pool.mbuf_allocs, pump.pool.mbuf_allocs);
+  EXPECT_EQ(staged.pool.mbuf_frees, pump.pool.mbuf_frees);
+  EXPECT_EQ(staged.pool.cluster_allocs, pump.pool.cluster_allocs);
+  EXPECT_EQ(staged.pool.cluster_frees, pump.pool.cluster_frees);
+  EXPECT_EQ(staged.pool.alloc_failures, pump.pool.alloc_failures);
+  EXPECT_EQ(staged.device.rx_frames, pump.device.rx_frames);
+  EXPECT_EQ(staged.device.rx_drops, pump.device.rx_drops);
+  EXPECT_EQ(staged.device.tx_frames, pump.device.tx_frames);
+  EXPECT_EQ(staged.graph_runs, pump.graph_runs);
+  ASSERT_EQ(staged.pcbs.size(), pump.pcbs.size());
+  for (std::size_t i = 0; i < pump.pcbs.size(); ++i) {
+    const stack::TcpPcb& a = pump.pcbs[i];
+    const stack::TcpPcb& b = staged.pcbs[i];
+    EXPECT_EQ(b.state, a.state) << i;
+    EXPECT_EQ(b.snd_una, a.snd_una) << i;
+    EXPECT_EQ(b.snd_nxt, a.snd_nxt) << i;
+    EXPECT_EQ(b.snd_max, a.snd_max) << i;
+    EXPECT_EQ(b.snd_wnd, a.snd_wnd) << i;
+    EXPECT_EQ(b.rcv_nxt, a.rcv_nxt) << i;
+    EXPECT_EQ(b.segs_since_ack, a.segs_since_ack) << i;
+    EXPECT_EQ(b.stats.segs_in, a.stats.segs_in) << i;
+    EXPECT_EQ(b.stats.fast_path, a.stats.fast_path) << i;
+    EXPECT_EQ(b.stats.slow_path, a.stats.slow_path) << i;
+    EXPECT_EQ(b.stats.acks_sent, a.stats.acks_sent) << i;
+    EXPECT_EQ(b.stats.retransmits, a.stats.retransmits) << i;
+    EXPECT_EQ(b.stats.ooo_buffered, a.stats.ooo_buffered) << i;
+  }
 }
 
 // ---- The wide checksum is the same function ---------------------------

@@ -441,10 +441,10 @@ TEST(TcpDelivery, FastPathAllocatesOnlyTheFrameAndItsAck) {
     const auto acks_before = pcb.acks_sent;
     net.server->pump();
     ASSERT_EQ(pcb.fast_path, fast_before + 1) << "segment " << seg;
-    // The device pulls the frame into a head mbuf plus one cluster mbuf;
+    // The device pulls the frame into one mbuf with a cluster attached;
     // every second segment adds a one-mbuf ACK. Nothing else.
     EXPECT_EQ(pool.mbuf_allocs - before.mbuf_allocs,
-              2 + (pcb.acks_sent - acks_before))
+              1 + (pcb.acks_sent - acks_before))
         << "segment " << seg;
     EXPECT_EQ(pool.cluster_allocs - before.cluster_allocs, 1u)
         << "segment " << seg;
