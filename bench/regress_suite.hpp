@@ -29,10 +29,10 @@
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "obs/bench_result.hpp"
-#include "overlay/gossip_sim.hpp"
 #include "pipe/pipeline.hpp"
 #include "recover/partition_heal.hpp"
 #include "rpc/fanout.hpp"
+#include "scenario/gossip_sim.hpp"
 #include "sim/memory_system.hpp"
 #include "stack/host.hpp"
 #include "stack/rx_path_trace.hpp"
@@ -364,13 +364,14 @@ inline obs::BenchResult gate_gossip_soak() {
   churn.add(restart);
   schedule.injectors.push_back({"h2", 26, std::move(churn)});
 
-  overlay::GossipSimConfig cfg;
+  scenario::GossipSimConfig cfg;
   cfg.racks = 4;
   cfg.hosts_per_rack = 4;
   cfg.spines = 2;
   cfg.fault_horizon_sec = 1.2;
   cfg.storm_broadcasts = 16;
-  const overlay::GossipSimResult r = overlay::run_gossip_sim(schedule, cfg);
+  const scenario::GossipSimResult r =
+      scenario::run_gossip_sim(schedule, cfg);
 
   result.set_metric("pass", r.pass ? 1.0 : 0.0);
   result.set_metric("violations", static_cast<double>(r.violations.size()));

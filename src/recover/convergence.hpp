@@ -31,9 +31,9 @@ namespace ldlp::recover {
 struct ConvergenceConfig {
   /// Scheduler passes allowed between "armed + faults cleared" and every
   /// connection converged. The default clears the worst sanctioned path:
-  /// a full retransmit backoff ladder into a reset (~950 passes at the
-  /// chaos harness's 50 ms tick) plus keepalive teardown of a half-open
-  /// peer, with margin.
+  /// a full retransmit backoff ladder into a reset (~950 passes at a
+  /// 50 ms tick) plus keepalive teardown of a half-open peer, with
+  /// margin. scenario::Harness ticks every 5 ms and sets its own budget.
   std::uint64_t budget_passes = 2000;
 };
 

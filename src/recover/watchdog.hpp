@@ -29,8 +29,9 @@ namespace ldlp::recover {
 struct WatchdogConfig {
   /// Consecutive zero-progress passes (with work pending) before a host
   /// is flagged. Must exceed the longest sanctioned silent gap — the
-  /// capped retransmit backoff (rto_max 8 s = 160 passes at the chaos
-  /// harness's 50 ms tick) — with margin.
+  /// capped retransmit backoff (rto_max 8 s = 160 passes at a 50 ms
+  /// tick) — with margin. scenario::Harness ticks every 5 ms and sets its
+  /// own budget.
   std::uint64_t stall_passes = 400;
 };
 

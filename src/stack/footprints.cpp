@@ -4,8 +4,6 @@
 
 namespace ldlp::stack {
 
-thread_local StackTracer* StackTracer::active_ = nullptr;
-
 namespace {
 
 using trace::DataIntent;

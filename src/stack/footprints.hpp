@@ -162,8 +162,10 @@ class StackTracer {
  private:
   // Thread-local: tracing is a per-thread measurement activity, so a
   // tracer armed on one thread (a fig/table bench) never races with
-  // ldlp::par workers pumping their own untraced hosts.
-  static thread_local StackTracer* active_;
+  // ldlp::par workers pumping their own untraced hosts. Defined inline
+  // with a constant initialiser, so every reader loads the slot directly
+  // (no TLS init wrapper, which UBSan flagged as a null load).
+  inline static thread_local StackTracer* active_ = nullptr;
 
   trace::CodeMap code_;
   trace::DataMap data_;

@@ -14,13 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "bench/soak_scenarios.hpp"
 #include "check/shrink.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
-#include "overlay/gossip_sim.hpp"
 #include "overlay/overlay.hpp"
+#include "scenario/gossip_sim.hpp"
+#include "scenario/registry.hpp"
 
 namespace ldlp {
 namespace {
@@ -150,8 +150,8 @@ TEST(OverlayDissemination, BroadcastDeliversEverywhereAndPrunes) {
 
 /// 16-host run_gossip_sim config the scenario-grain tests share: same
 /// code path as the soak, sized for unit-test wall clock.
-overlay::GossipSimConfig small_sim() {
-  overlay::GossipSimConfig cfg;
+scenario::GossipSimConfig small_sim() {
+  scenario::GossipSimConfig cfg;
   cfg.racks = 4;
   cfg.hosts_per_rack = 4;
   cfg.spines = 2;
@@ -176,8 +176,8 @@ check::Schedule restart_schedule(std::uint64_t seed) {
 }
 
 TEST(GossipSim, RepairReadmitsRestartedHost) {
-  const overlay::GossipSimResult r =
-      overlay::run_gossip_sim(restart_schedule(3), small_sim());
+  const scenario::GossipSimResult r =
+      scenario::run_gossip_sim(restart_schedule(3), small_sim());
   EXPECT_TRUE(r.pass) << r.why;
   EXPECT_EQ(r.delivery_completeness, 1.0);
   // The victim's peers declared it dead and promoted replacements; the
@@ -189,8 +189,8 @@ TEST(GossipSim, RepairReadmitsRestartedHost) {
 TEST(GossipSim, FullChurnScheduleConvergesWithEvidence) {
   // The soak's own 64-host schedule (fabric plan + two restart victims):
   // every protocol mechanism must leave a trace.
-  const overlay::GossipSimResult r =
-      overlay::run_gossip_sim(soak::make_gossip_schedule(1));
+  const scenario::GossipSimResult r =
+      scenario::run_gossip_sim(scenario::make_gossip_schedule(1));
   EXPECT_TRUE(r.pass) << r.why;
   EXPECT_EQ(r.delivery_completeness, 1.0);
   EXPECT_GT(r.grafts, 0u);
@@ -202,9 +202,9 @@ TEST(GossipSim, FullChurnScheduleConvergesWithEvidence) {
 }
 
 TEST(GossipSim, DeterministicInSchedule) {
-  const check::Schedule schedule = soak::make_gossip_schedule(2);
-  const overlay::GossipSimResult a = overlay::run_gossip_sim(schedule);
-  const overlay::GossipSimResult b = overlay::run_gossip_sim(schedule);
+  const check::Schedule schedule = scenario::make_gossip_schedule(2);
+  const scenario::GossipSimResult a = scenario::run_gossip_sim(schedule);
+  const scenario::GossipSimResult b = scenario::run_gossip_sim(schedule);
   EXPECT_EQ(a.pass, b.pass);
   EXPECT_EQ(a.why, b.why);
   EXPECT_EQ(a.violations, b.violations);
@@ -220,24 +220,24 @@ TEST(GossipMutation, DisabledRepairIsCaughtAndShrinksToChurn) {
   // the overlay oracles under churn, (b) stay green without churn — the
   // oracles blame the repair path, not background noise — and (c) ddmin
   // the failing schedule down to the single restart episode.
-  overlay::GossipSimConfig mutated = small_sim();
+  scenario::GossipSimConfig mutated = small_sim();
   mutated.overlay.membership.enable_repair = false;
 
   const check::Schedule churn = restart_schedule(3);
-  const overlay::GossipSimResult broken =
-      overlay::run_gossip_sim(churn, mutated);
+  const scenario::GossipSimResult broken =
+      scenario::run_gossip_sim(churn, mutated);
   ASSERT_FALSE(broken.pass);
 
   check::Schedule calm = churn;
   calm.injectors.clear();
-  const overlay::GossipSimResult quiet =
-      overlay::run_gossip_sim(calm, mutated);
+  const scenario::GossipSimResult quiet =
+      scenario::run_gossip_sim(calm, mutated);
   EXPECT_TRUE(quiet.pass) << quiet.why;
 
   const check::ShrinkResult shrunk = check::shrink(
       churn,
       [&](const check::Schedule& candidate) {
-        return !overlay::run_gossip_sim(candidate, mutated).pass;
+        return !scenario::run_gossip_sim(candidate, mutated).pass;
       },
       64);
   EXPECT_TRUE(shrunk.converged);
@@ -247,12 +247,12 @@ TEST(GossipMutation, DisabledRepairIsCaughtAndShrinksToChurn) {
 
 TEST(GossipScenario, RegisteredWithOwnBudget) {
   bool found = false;
-  for (std::size_t i = 0; i < soak::kScenarioCount; ++i) {
-    if (std::string(soak::kScenarios[i].name) != "gossip") continue;
+  for (std::size_t i = 0; i < scenario::kScenarioCount; ++i) {
+    if (std::string(scenario::kScenarios[i].name) != "gossip") continue;
     found = true;
-    EXPECT_EQ(soak::kScenarios[i].seed_timeout_ms, 120000u);
-    EXPECT_FALSE(soak::kScenarios[i].in_default_sweep);
-    EXPECT_NE(soak::kScenarios[i].make, nullptr);
+    EXPECT_EQ(scenario::kScenarios[i].seed_timeout_ms, 120000u);
+    EXPECT_FALSE(scenario::kScenarios[i].in_default_sweep);
+    EXPECT_NE(scenario::kScenarios[i].make, nullptr);
   }
   EXPECT_TRUE(found);
 }

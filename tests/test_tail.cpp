@@ -7,11 +7,12 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 
-#include "bench/soak_scenarios.hpp"
 #include "obs/bench_result.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/fanout.hpp"
+#include "scenario/registry.hpp"
 
 namespace ldlp {
 namespace {
@@ -94,13 +95,17 @@ TEST(SoakScenarios, RegistryIsComplete) {
   // sweep list but missed by the timeout table (or the --help text).
   // Every entry must be fully populated, and names must be unique.
   std::set<std::string> names;
-  for (const soak::ScenarioInfo& def : soak::kScenarios) {
+  for (const scenario::ScenarioInfo& def : scenario::kScenarios) {
     ASSERT_NE(def.name, nullptr);
     EXPECT_FALSE(std::string(def.name).empty());
     EXPECT_TRUE(names.insert(def.name).second)
         << "duplicate scenario name " << def.name;
     EXPECT_NE(def.make, nullptr) << def.name;
+    EXPECT_NE(def.run, nullptr) << def.name;
     EXPECT_GT(def.seed_timeout_ms, 0u) << def.name;
+    // Report rollups are keyed by name, never by table position.
+    ASSERT_NE(def.rollup, nullptr) << def.name;
+    EXPECT_FALSE(std::string(def.rollup).empty()) << def.name;
     ASSERT_NE(def.blurb, nullptr) << def.name;
     EXPECT_FALSE(std::string(def.blurb).empty()) << def.name;
     // The maker must stamp its own registered name and the seed into the
@@ -114,25 +119,43 @@ TEST(SoakScenarios, RegistryIsComplete) {
       << "tail scenario missing from the registry";
 }
 
-TEST(SoakScenarios, LookupAndTimeoutDefaults) {
-  for (const soak::ScenarioInfo& def : soak::kScenarios) {
-    const soak::ScenarioInfo* found = soak::find_scenario(def.name);
-    ASSERT_EQ(found, &def);
-    EXPECT_EQ(soak::default_timeout_ms(def.name), def.seed_timeout_ms);
+TEST(SoakScenarios, RollupsKeepTheirReportNames) {
+  // BENCH_chaos_soak.json's failure metrics: the two loss-profile TCP
+  // scenarios share tcp_failures and the two healing scenarios share
+  // heal_failures; the rest count alone.
+  const std::pair<const char*, const char*> expected[] = {
+      {"tcp", "tcp_failures"},         {"tcp-slow", "tcp_failures"},
+      {"dns", "dns_failures"},         {"tcp-heal", "heal_failures"},
+      {"dns-heal", "heal_failures"},   {"fleet", "fleet_failures"},
+      {"tail", "tail_failures"},       {"gossip", "gossip_failures"},
+      {"clocks", "clocks_failures"},
+  };
+  for (const auto& [name, rollup] : expected) {
+    const scenario::ScenarioInfo* def = scenario::find_scenario(name);
+    ASSERT_NE(def, nullptr) << name;
+    EXPECT_EQ(std::string(def->rollup), rollup) << name;
   }
-  EXPECT_EQ(soak::find_scenario("no-such-scenario"), nullptr);
+}
+
+TEST(SoakScenarios, LookupAndTimeoutDefaults) {
+  for (const scenario::ScenarioInfo& def : scenario::kScenarios) {
+    const scenario::ScenarioInfo* found = scenario::find_scenario(def.name);
+    ASSERT_EQ(found, &def);
+    EXPECT_EQ(scenario::default_timeout_ms(def.name), def.seed_timeout_ms);
+  }
+  EXPECT_EQ(scenario::find_scenario("no-such-scenario"), nullptr);
   // The default sweep budgets for its slowest member, and is never zero.
   std::uint64_t max_sweep_ms = 0;
-  for (const soak::ScenarioInfo& def : soak::kScenarios)
+  for (const scenario::ScenarioInfo& def : scenario::kScenarios)
     if (def.in_default_sweep)
       max_sweep_ms = std::max(max_sweep_ms, def.seed_timeout_ms);
-  EXPECT_EQ(soak::default_timeout_ms(""), max_sweep_ms);
+  EXPECT_EQ(scenario::default_timeout_ms(""), max_sweep_ms);
   EXPECT_GT(max_sweep_ms, 0u);
 }
 
 TEST(SoakScenarios, HelpListsEveryScenario) {
-  const std::string help = soak::scenario_help();
-  for (const soak::ScenarioInfo& def : soak::kScenarios) {
+  const std::string help = scenario::scenario_help();
+  for (const scenario::ScenarioInfo& def : scenario::kScenarios) {
     EXPECT_NE(help.find(def.name), std::string::npos) << def.name;
     EXPECT_NE(help.find(def.blurb), std::string::npos) << def.name;
   }

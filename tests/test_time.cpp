@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/soak_scenarios.hpp"
 #include "check/schedule.hpp"
 #include "check/shrink.hpp"
 #include "common/rng.hpp"
@@ -31,9 +30,10 @@
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
-#include "overlay/gossip_sim.hpp"
 #include "overlay/overlay.hpp"
 #include "rpc/fanout.hpp"
+#include "scenario/gossip_sim.hpp"
+#include "scenario/registry.hpp"
 #include "stack/host.hpp"
 #include "time/timer_wheel.hpp"
 
@@ -220,7 +220,7 @@ TEST(ClockSchedule, RoundTripsAllClockKindsByteStable) {
 
 TEST(ClockSchedule, SoakScheduleRoundTripsByteStable) {
   // The real thing the soak would write next to a failing seed.
-  const check::Schedule s = soak::make_clocks_schedule(7);
+  const check::Schedule s = scenario::make_clocks_schedule(7);
   std::string error;
   const auto back = check::Schedule::from_json(s.to_json(), &error);
   ASSERT_TRUE(back.has_value()) << error;
@@ -473,8 +473,8 @@ TEST(BackoffCaps, OverlayProbeBackoffDoublesToCapUnderStorm) {
 /// same code path as the clocks soak, sized for unit-test wall clock.
 /// Probing is aggressive (idle threshold under every cadence interval)
 /// so the consolidated wakeup is liveness-class when the stall snaps.
-overlay::GossipSimConfig clocks_sim() {
-  overlay::GossipSimConfig cfg;
+scenario::GossipSimConfig clocks_sim() {
+  scenario::GossipSimConfig cfg;
   cfg.racks = 4;
   cfg.hosts_per_rack = 4;
   cfg.spines = 2;
@@ -506,8 +506,8 @@ check::Schedule stall_schedule(std::uint64_t seed) {
 }
 
 TEST(ClocksSim, StallRecoverySnapIsSurvivedWithGuardOn) {
-  const overlay::GossipSimResult r =
-      overlay::run_gossip_sim(stall_schedule(3), clocks_sim());
+  const scenario::GossipSimResult r =
+      scenario::run_gossip_sim(stall_schedule(3), clocks_sim());
   EXPECT_TRUE(r.pass) << r.why;
   EXPECT_EQ(r.timer_shed, 0u);  // the guard fires late, it never drops
   EXPECT_GT(r.timer_arms, 0u);
@@ -520,12 +520,12 @@ TEST(ClocksMutation, ShedGuardRevertCaughtAndShrinksToTheStall) {
   // liveness timer, (b) stay green without clock faults — the oracle
   // blames the shed path, not background noise — and (c) ddmin the
   // failing schedule down to the single kClockStall episode.
-  overlay::GossipSimConfig mutated = clocks_sim();
+  scenario::GossipSimConfig mutated = clocks_sim();
   mutated.wheel.shed_guard = false;
 
   const check::Schedule stall = stall_schedule(3);
-  const overlay::GossipSimResult broken =
-      overlay::run_gossip_sim(stall, mutated);
+  const scenario::GossipSimResult broken =
+      scenario::run_gossip_sim(stall, mutated);
   ASSERT_FALSE(broken.pass);
   ASSERT_FALSE(broken.violations.empty());
   EXPECT_NE(broken.violations[0].find("shed"), std::string::npos)
@@ -533,14 +533,14 @@ TEST(ClocksMutation, ShedGuardRevertCaughtAndShrinksToTheStall) {
 
   check::Schedule calm = stall;
   calm.injectors.clear();
-  const overlay::GossipSimResult quiet =
-      overlay::run_gossip_sim(calm, mutated);
+  const scenario::GossipSimResult quiet =
+      scenario::run_gossip_sim(calm, mutated);
   EXPECT_TRUE(quiet.pass) << quiet.why;
 
   const check::ShrinkResult shrunk = check::shrink(
       stall,
       [&](const check::Schedule& candidate) {
-        return !overlay::run_gossip_sim(candidate, mutated).pass;
+        return !scenario::run_gossip_sim(candidate, mutated).pass;
       },
       64);
   EXPECT_TRUE(shrunk.converged);
@@ -550,18 +550,18 @@ TEST(ClocksMutation, ShedGuardRevertCaughtAndShrinksToTheStall) {
 
 TEST(ClocksScenario, RegisteredWithOwnBudget) {
   bool found = false;
-  for (std::size_t i = 0; i < soak::kScenarioCount; ++i) {
-    if (std::string(soak::kScenarios[i].name) != "clocks") continue;
+  for (std::size_t i = 0; i < scenario::kScenarioCount; ++i) {
+    if (std::string(scenario::kScenarios[i].name) != "clocks") continue;
     found = true;
-    EXPECT_NE(soak::kScenarios[i].make, nullptr);
-    EXPECT_EQ(soak::kScenarios[i].seed_timeout_ms, 120000);
+    EXPECT_NE(scenario::kScenarios[i].make, nullptr);
+    EXPECT_EQ(scenario::kScenarios[i].seed_timeout_ms, 120000);
     // Opt-in like tail/gossip: the default sweep stays protocol-grain.
-    EXPECT_FALSE(soak::kScenarios[i].in_default_sweep);
+    EXPECT_FALSE(scenario::kScenarios[i].in_default_sweep);
   }
   EXPECT_TRUE(found);
   // The generated schedule actually carries clock adversity: a fleet
   // injector plus per-host victims with clock-kind episodes.
-  const check::Schedule s = soak::make_clocks_schedule(5);
+  const check::Schedule s = scenario::make_clocks_schedule(5);
   EXPECT_EQ(s.scenario, "clocks");
   bool has_clock_kind = false;
   for (const auto& spec : s.injectors)
